@@ -13,7 +13,7 @@
 
 /// Deterministic fault injection for the storage stack (DESIGN.md §9).
 ///
-/// A failpoint is a named site at an I/O boundary (WAL append, paged-file
+/// A failpoint is a named site at an I/O boundary (WAL append, snapshot
 /// write, checkpoint window) that tests can arm with a deterministic
 /// activation policy. When a site fires, the caller turns that into the
 /// failure mode appropriate for the site: a clean Status::IOError, a torn
@@ -74,7 +74,7 @@ struct FailpointHit {
 /// evaluation — legal because mu_ holds the lower rank kRankFailpoint.
 ///
 /// Thread-safe. mu_ may be acquired while holding any storage-stack
-/// mutex (DurableStore, WAL, PageCache — all ranked below kRankFailpoint
+/// mutex (DurableStore, WAL — both ranked below kRankFailpoint
 /// in common/lock_order.h).
 class FailpointRegistry {
  public:

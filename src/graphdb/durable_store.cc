@@ -1,16 +1,19 @@
 #include "graphdb/durable_store.h"
 
-#include <algorithm>
-#include <cstring>
+#include <fcntl.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <array>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "storage/fd_appender.h"
 
 namespace hermes {
 
@@ -18,36 +21,107 @@ namespace {
 
 constexpr std::uint64_t kSnapshotMagic = 0x4845524d45533033ULL;  // "HERMES03"
 
-// Snapshot I/O goes through the page cache (storage/page_cache.h) so bulk
-// store reads/writes exercise the buffer-management layer like any other
-// store file. Header layout on page 0: [magic u64][partition u32]
-// [pad u32][content_length u64][covered_lsn u64], content follows at
-// byte 32. The covered LSN makes recovery safe when a crash lands between
-// the snapshot rename and the WAL truncation: entries at or below it are
-// already reflected in the snapshot and must not be replayed.
+// Snapshot file layout: [magic u64][partition u32][pad u32]
+// [content_length u64][covered_lsn u64], content follows at byte 32. The
+// covered LSN makes recovery safe when a crash lands between the snapshot
+// rename and the WAL truncation: entries at or below it are already
+// reflected in the snapshot and must not be replayed. Older snapshot
+// files are zero-padded to a multiple of 8 KiB; the loader checks the
+// content length, not the file size, so both shapes load.
 constexpr std::uint64_t kSnapshotHeaderBytes = 32;
-constexpr std::size_t kSnapshotCachePages = 64;
+// The writer hands the file this many bytes per write(2) and the reader
+// refills a buffer of this size, so each snapshot failpoint site is
+// evaluated once per slice.
+constexpr std::size_t kSnapshotSliceBytes = 8192;
 
-void WriteU64(PagedWriter& out, std::uint64_t v) {
+// The writers take any `Out` with Append(const void*, std::size_t): a
+// ByteCount for the sizing pass, then a SliceWriter for the file.
+template <typename Out>
+void WriteU64(Out& out, std::uint64_t v) {
   out.Append(&v, sizeof(v));
 }
-void WriteU32(PagedWriter& out, std::uint32_t v) {
+template <typename Out>
+void WriteU32(Out& out, std::uint32_t v) {
   out.Append(&v, sizeof(v));
 }
-void WriteF64(PagedWriter& out, double v) { out.Append(&v, sizeof(v)); }
-void WriteString(PagedWriter& out, const std::string& s) {
+template <typename Out>
+void WriteF64(Out& out, double v) {
+  out.Append(&v, sizeof(v));
+}
+template <typename Out>
+void WriteString(Out& out, const std::string& s) {
   WriteU32(out, static_cast<std::uint32_t>(s.size()));
   out.Append(s.data(), s.size());
 }
 
-bool ReadU64(PagedReader& in, std::uint64_t* v) {
+/// Sequential reader over a snapshot file through one fixed buffer that
+/// read(2) refills, so loading never holds a whole-file copy.
+class SnapshotReader {
+ public:
+  SnapshotReader() = default;
+  ~SnapshotReader() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  SnapshotReader(const SnapshotReader&) = delete;
+  SnapshotReader& operator=(const SnapshotReader&) = delete;
+
+  /// Opens `path`; a missing file is NotFound.
+  [[nodiscard]] Status Open(const std::string& path) {
+    do {
+      fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    } while (fd_ < 0 && errno == EINTR);
+    if (fd_ >= 0) return Status::OK();
+    if (errno == ENOENT) return Status::NotFound("no snapshot at " + path);
+    return Status::IOError("cannot open " + path + ": " +
+                           std::strerror(errno));
+  }
+
+  /// Reads exactly `size` bytes; false at end of file or on an I/O error.
+  bool Read(void* out, std::size_t size) {
+    auto* dst = static_cast<char*>(out);
+    while (size > 0) {
+      if (begin_ == end_ && !Refill()) return false;
+      const std::size_t chunk = std::min(size, end_ - begin_);
+      std::memcpy(dst, buf_.data() + begin_, chunk);
+      begin_ += chunk;
+      dst += chunk;
+      size -= chunk;
+      position_ += chunk;
+    }
+    return true;
+  }
+
+  /// Bytes consumed so far.
+  std::uint64_t position() const { return position_; }
+
+ private:
+  bool Refill() {
+    if (HERMES_FAILPOINT_HIT("snapshot.read.io_error").fired) return false;
+    ssize_t n = 0;
+    do {
+      n = ::read(fd_, buf_.data(), buf_.size());
+    } while (n < 0 && errno == EINTR);
+    if (n <= 0) return false;
+    begin_ = 0;
+    end_ = static_cast<std::size_t>(n);
+    return true;
+  }
+
+  int fd_ = -1;
+  std::array<char, kSnapshotSliceBytes> buf_{};
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+  std::uint64_t position_ = 0;
+};
+
+bool ReadU64(SnapshotReader& in, std::uint64_t* v) {
   return in.Read(v, sizeof(*v));
 }
-bool ReadU32(PagedReader& in, std::uint32_t* v) {
+bool ReadU32(SnapshotReader& in, std::uint32_t* v) {
   return in.Read(v, sizeof(*v));
 }
-bool ReadF64(PagedReader& in, double* v) { return in.Read(v, sizeof(*v)); }
-bool ReadString(PagedReader& in, std::string* s) {
+bool ReadF64(SnapshotReader& in, double* v) { return in.Read(v, sizeof(*v)); }
+bool ReadString(SnapshotReader& in, std::string* s) {
   std::uint32_t size = 0;
   if (!ReadU32(in, &size) || size > (1u << 28)) return false;
   s->resize(size);
@@ -56,7 +130,8 @@ bool ReadString(PagedReader& in, std::string* s) {
 
 using Properties = std::vector<std::pair<std::uint32_t, std::string>>;
 
-void WriteProperties(PagedWriter& out, const Properties& props) {
+template <typename Out>
+void WriteProperties(Out& out, const Properties& props) {
   WriteU32(out, static_cast<std::uint32_t>(props.size()));
   for (const auto& [key, value] : props) {
     WriteU32(out, key);
@@ -64,7 +139,7 @@ void WriteProperties(PagedWriter& out, const Properties& props) {
   }
 }
 
-bool ReadProperties(PagedReader& in, Properties* props) {
+bool ReadProperties(SnapshotReader& in, Properties* props) {
   std::uint32_t count = 0;
   if (!ReadU32(in, &count) || count > (1u << 24)) return false;
   props->clear();
@@ -78,64 +153,124 @@ bool ReadProperties(PagedReader& in, Properties* props) {
   return true;
 }
 
+/// Appends the snapshot content — every node, then every relationship
+/// with its chain linkage — to `out`.
+template <typename Out>
+void WriteContent(const std::vector<GraphStore::NodeDump>& nodes,
+                  const std::vector<GraphStore::RelationshipDump>& rels,
+                  Out& out) {
+  WriteU64(out, nodes.size());
+  for (const auto& n : nodes) {
+    WriteU64(out, n.id);
+    WriteF64(out, n.weight);
+    WriteU32(out, static_cast<std::uint32_t>(n.state));
+    WriteProperties(out, n.properties);
+  }
+  WriteU64(out, rels.size());
+  for (const auto& r : rels) {
+    WriteU64(out, r.src);
+    WriteU64(out, r.dst);
+    WriteU32(out, r.type);
+    // Chain linkage must be persisted, not inferred: after a node is
+    // removed and its id re-created, both endpoints of a leftover half
+    // record exist again, and endpoint existence would wrongly
+    // reconstruct it as a full edge.
+    const std::uint32_t flags = (r.ghost ? 1u : 0u) |
+                                (r.src_linked ? 2u : 0u) |
+                                (r.dst_linked ? 4u : 0u);
+    WriteU32(out, flags);
+    WriteProperties(out, r.properties);
+  }
+}
+
+/// Counts appended bytes: the header carries the content length and is
+/// written first, so the content is sized before it is written.
+struct ByteCount {
+  std::uint64_t bytes = 0;
+  void Append(const void*, std::size_t len) { bytes += len; }
+};
+
+/// Writes appended bytes to a file in kSnapshotSliceBytes slices, so a
+/// snapshot never needs a whole-file buffer. The first error is sticky
+/// and returned by Finish().
+class SliceWriter {
+ public:
+  explicit SliceWriter(FdAppender* file) : file_(file) {}
+
+  void Append(const void* data, std::size_t len) {
+    const auto* p = static_cast<const char*>(data);
+    while (len > 0 && status_.ok()) {
+      const std::size_t n = std::min(len, slice_.size() - used_);
+      std::memcpy(slice_.data() + used_, p, n);
+      used_ += n;
+      p += n;
+      len -= n;
+      if (used_ == slice_.size()) status_ = Flush();
+    }
+  }
+
+  /// Writes the last, partial slice and fsyncs the file.
+  [[nodiscard]] Status Finish() {
+    if (status_.ok() && used_ > 0) status_ = Flush();
+    HERMES_RETURN_NOT_OK(status_);
+    HERMES_FAILPOINT_IOERROR("snapshot.sync.io_error");
+    return file_->Sync();
+  }
+
+ private:
+  [[nodiscard]] Status Flush() {
+    const std::size_t len = used_;
+    used_ = 0;
+    HERMES_FAILPOINT_IOERROR("snapshot.write.io_error");
+    const FailpointHit torn =
+        HERMES_FAILPOINT_HIT("snapshot.write.short_write");
+    if (torn.fired) {
+      // Torn write: only a prefix of the slice reaches the file before the
+      // simulated power loss; the crash latch keeps later writes from
+      // papering over the damage.
+      const std::uint64_t want = torn.arg != 0 ? torn.arg : len / 2;
+      const auto cut = static_cast<std::size_t>(
+          std::min<std::uint64_t>(want, len - 1));
+      if (Status st = file_->Append(slice_.data(), cut); !st.ok()) {
+        // The tear is the injected failure; a second error writing the
+        // prefix leaves an even shorter tear, which recovery must equally
+        // survive.
+      }
+      HERMES_FAILPOINT_LATCH_CRASH("snapshot.write.short_write");
+      return Status::IOError("failpoint: snapshot.write.short_write");
+    }
+    return file_->Append(slice_.data(), len);
+  }
+
+  FdAppender* const file_;
+  std::array<char, kSnapshotSliceBytes> slice_{};
+  std::size_t used_ = 0;
+  Status status_;
+};
+
 }  // namespace
 
 Status DurableGraphStore::WriteSnapshot(const GraphStore& store,
                                         const std::string& path,
                                         std::uint64_t covered_lsn) {
+  const auto nodes = store.DumpNodes();
+  const auto rels = store.DumpRelationships();
+  ByteCount content;
+  WriteContent(nodes, rels, content);
+
   // Write to a temp file then rename for atomicity.
   const std::string tmp = path + ".tmp";
   std::remove(tmp.c_str());
   {
-    HERMES_ASSIGN_OR_RETURN(PagedFile file, PagedFile::Open(tmp));
-    PageCache cache(&file, kSnapshotCachePages);
-    PagedWriter out(&cache);
-
-    // Header placeholder; patched once the content length is known.
-    const std::uint64_t zero64 = 0;
-    WriteU64(out, zero64);  // magic
-    WriteU32(out, 0);       // partition
-    WriteU32(out, 0);       // pad
-    WriteU64(out, zero64);  // content length
-    WriteU64(out, zero64);  // covered LSN
-
-    const auto nodes = store.DumpNodes();
-    WriteU64(out, nodes.size());
-    for (const auto& n : nodes) {
-      WriteU64(out, n.id);
-      WriteF64(out, n.weight);
-      WriteU32(out, static_cast<std::uint32_t>(n.state));
-      WriteProperties(out, n.properties);
-    }
-    const auto rels = store.DumpRelationships();
-    WriteU64(out, rels.size());
-    for (const auto& r : rels) {
-      WriteU64(out, r.src);
-      WriteU64(out, r.dst);
-      WriteU32(out, r.type);
-      // Chain linkage must be persisted, not inferred: after a node is
-      // removed and its id re-created, both endpoints of a leftover half
-      // record exist again, and endpoint existence would wrongly
-      // reconstruct it as a full edge.
-      const std::uint32_t flags = (r.ghost ? 1u : 0u) |
-                                  (r.src_linked ? 2u : 0u) |
-                                  (r.dst_linked ? 4u : 0u);
-      WriteU32(out, flags);
-      WriteProperties(out, r.properties);
-    }
-    const std::uint64_t total = out.position();
+    HERMES_ASSIGN_OR_RETURN(FdAppender file, FdAppender::Open(tmp));
+    SliceWriter out(&file);
+    WriteU64(out, kSnapshotMagic);
+    WriteU32(out, store.partition_id());
+    WriteU32(out, 0);  // pad
+    WriteU64(out, content.bytes);
+    WriteU64(out, covered_lsn);
+    WriteContent(nodes, rels, out);
     HERMES_RETURN_NOT_OK(out.Finish());
-
-    // Patch the header in place (page 0 round-trips the cache again).
-    HERMES_ASSIGN_OR_RETURN(Page * header, cache.Pin(0));
-    const std::uint32_t partition = store.partition_id();
-    const std::uint64_t content = total - kSnapshotHeaderBytes;
-    std::memcpy(header->bytes.data(), &kSnapshotMagic, sizeof(std::uint64_t));
-    std::memcpy(header->bytes.data() + 8, &partition, sizeof(partition));
-    std::memcpy(header->bytes.data() + 16, &content, sizeof(content));
-    std::memcpy(header->bytes.data() + 24, &covered_lsn, sizeof(covered_lsn));
-    cache.Unpin(0, /*dirty=*/true);
-    HERMES_RETURN_NOT_OK(cache.FlushAll());
   }
   // Crash with the complete snapshot in the temp file but not yet
   // renamed: recovery must fall back to the previous snapshot + log.
@@ -143,18 +278,18 @@ Status DurableGraphStore::WriteSnapshot(const GraphStore& store,
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     return Status::IOError("snapshot rename failed");
   }
-  return Status::OK();
+  // The rename lives in the directory entry: until the directory is
+  // synced, a power loss can undo it even after the caller truncates the
+  // log the snapshot replaces.
+  HERMES_FAILPOINT_IOERROR("snapshot.dir_sync.io_error");
+  return SyncParentDirectory(path);
 }
 
 Status DurableGraphStore::LoadSnapshot(const std::string& path,
                                        GraphStore* store,
                                        std::uint64_t* covered_lsn) {
-  if (!std::filesystem::exists(path)) {
-    return Status::NotFound("no snapshot at " + path);
-  }
-  HERMES_ASSIGN_OR_RETURN(PagedFile file, PagedFile::Open(path));
-  PageCache cache(&file, kSnapshotCachePages);
-  PagedReader in(&cache, file.NumPages() * kPageSize);
+  SnapshotReader in;
+  HERMES_RETURN_NOT_OK(in.Open(path));
 
   std::uint64_t magic = 0;
   std::uint32_t partition = 0;
@@ -391,7 +526,9 @@ Status DurableGraphStore::Checkpoint() {
   // log recover everything), after the rename but before the checkpoint
   // marker (new snapshot + stale log — the covered LSN keeps replay from
   // double-applying), and after the marker but before the truncation
-  // (replay-after-last-checkpoint sees an empty tail).
+  // (replay-after-last-checkpoint sees an empty tail). WriteSnapshot
+  // fsyncs the directory before returning, so the log is never truncated
+  // while the rename could still be lost to a power failure.
   HERMES_FAILPOINT_CRASH("durable_store.checkpoint.crash");
   const std::uint64_t covered_lsn = wal_->next_lsn() - 1;
   // audit:allow(blocking, checkpoint is the documented quiesce point: mu_

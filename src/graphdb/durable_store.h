@@ -10,7 +10,6 @@
 #include "common/thread_annotations.h"
 #include "graphdb/graph_store.h"
 #include "storage/wal.h"
-#include "storage/page_cache.h"
 
 namespace hermes {
 
@@ -132,7 +131,9 @@ class DurableGraphStore {
   // contains; Open() skips replaying entries at or below it, which is
   // what makes a crash between the snapshot rename and the WAL
   // truncation safe (replaying the stale log in full would double-apply
-  // non-idempotent entries such as kAddNodeWeight).
+  // non-idempotent entries such as kAddNodeWeight). WriteSnapshot
+  // returns only once the file and its rename are both fsynced;
+  // LoadSnapshot returns NotFound when `path` does not exist.
   [[nodiscard]] static Status WriteSnapshot(const GraphStore& store, const std::string& path,
                               std::uint64_t covered_lsn = 0);
   [[nodiscard]] static Status LoadSnapshot(const std::string& path, GraphStore* store,

@@ -117,4 +117,22 @@ Status FdAppender::DropUnsynced() {
   return Status::OK();
 }
 
+[[nodiscard]] Status SyncParentDirectory(const std::string& path) {
+  const std::size_t slash = path.find_last_of('/');
+  std::string dir = ".";
+  if (slash != std::string::npos) {
+    dir = slash == 0 ? "/" : path.substr(0, slash);
+  }
+  int fd = -1;
+  do {
+    fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) return Status::IOError(ErrnoMessage("open failed for", dir));
+  const Status st =
+      ::fsync(fd) == 0 ? Status::OK()
+                       : Status::IOError(ErrnoMessage("fsync failed for", dir));
+  ::close(fd);
+  return st;
+}
+
 }  // namespace hermes

@@ -12,10 +12,10 @@ namespace hermes {
 
 /// Append-only file handle backed by a raw POSIX fd.
 ///
-/// This is the durability primitive under the WAL: unlike the
-/// std::ofstream it replaced, Sync() issues a real ::fdatasync/::fsync,
-/// so bytes acknowledged as synced survive power loss, not just process
-/// death. The appender tracks two watermarks:
+/// This is the durability primitive under the WAL and the snapshot
+/// writer: unlike the std::ofstream it replaced, Sync() issues a real
+/// ::fdatasync/::fsync, so bytes acknowledged as synced survive power
+/// loss, not just process death. The appender tracks two watermarks:
 ///
 ///   size()        bytes handed to the OS (write(2) returned),
 ///   synced_size() bytes known forced to stable storage.
@@ -71,6 +71,11 @@ class FdAppender {
   std::uint64_t size_ = 0;
   std::uint64_t synced_size_ = 0;
 };
+
+/// Fsyncs the directory that holds `path`, making a rename or creation
+/// of `path` durable: the new directory entry survives power loss only
+/// once its directory is synced.
+[[nodiscard]] Status SyncParentDirectory(const std::string& path);
 
 }  // namespace hermes
 

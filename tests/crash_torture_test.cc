@@ -291,7 +291,7 @@ constexpr const char* kCrashSites[] = {
     "wal.append.crash",
     "wal.append.short_write",
     "wal.os_buffer.drop",  // power loss drops un-fsynced OS buffers
-    "paged_file.write.short_write",
+    "snapshot.write.short_write",
     "durable_store.checkpoint.crash",
     "durable_store.checkpoint.after_snapshot.crash",
     "durable_store.checkpoint.before_reset.crash",
@@ -300,8 +300,8 @@ constexpr const char* kCrashSites[] = {
 constexpr const char* kTransientSites[] = {
     "wal.append.io_error",   "wal.sync.io_error",
     "wal.flush.io_error",
-    "paged_file.read.io_error", "paged_file.write.io_error",
-    "paged_file.sync.io_error",
+    "snapshot.read.io_error", "snapshot.write.io_error",
+    "snapshot.sync.io_error",
 };
 
 std::vector<ArmedPoint> ArmRandomSchedule(Rng* rng) {
@@ -311,7 +311,7 @@ std::vector<ArmedPoint> ArmRandomSchedule(Rng* rng) {
   crash.name = kCrashSites[rng->Uniform(std::size(kCrashSites))];
   crash.config.policy = FailpointConfig::Policy::kNthHit;
   // Checkpoint-path sites are evaluated a handful of times per round;
-  // WAL/paged-file sites on nearly every op.
+  // WAL sites on nearly every op, snapshot sites once per 8 KiB slice.
   const bool checkpoint_site =
       crash.name.rfind("durable_store.", 0) == 0;
   crash.config.n = 1 + rng->Uniform(checkpoint_site ? 3 : 80);
@@ -426,6 +426,22 @@ void RunTortureSeed(std::uint64_t seed) {
     // invariant allows), clear all injected faults, and recover.
     db.reset();
     FailpointRegistry::Global().Reset();
+    // Snapshots are read only during recovery, so a schedule that armed
+    // the snapshot-read fault replays it once against a first recovery
+    // attempt. That attempt must fail cleanly (or find no snapshot to
+    // read) and leave the files intact for the clean recovery below.
+    for (const ArmedPoint& p : schedule) {
+      if (p.name != "snapshot.read.io_error") continue;
+      FailpointConfig once;
+      once.policy = FailpointConfig::Policy::kNthHit;
+      once.n = 1;
+      FailpointRegistry::Global().Arm(p.name, once);
+      const auto attempt = DurableGraphStore::Open(0, dir);
+      ASSERT_TRUE(attempt.ok() || attempt.status().IsIOError())
+          << context << "\nfaulted recovery: "
+          << attempt.status().ToString();
+      FailpointRegistry::Global().Reset();
+    }
     auto reopened = DurableGraphStore::Open(0, dir);
     ASSERT_OK(reopened)
         << context << "\nrecovery failed: " << reopened.status().ToString();
@@ -712,7 +728,7 @@ TEST_F(FailpointTest, RecoveryReadErrorFailsCleanly) {
   FailpointConfig cfg;
   cfg.policy = FailpointConfig::Policy::kNthHit;
   cfg.n = 1;
-  FailpointRegistry::Global().Arm("paged_file.read.io_error", cfg);
+  FailpointRegistry::Global().Arm("snapshot.read.io_error", cfg);
   auto failed = DurableGraphStore::Open(0, dir);
   EXPECT_FALSE(failed.ok());  // surfaced, not swallowed or crashed
 
@@ -720,6 +736,45 @@ TEST_F(FailpointTest, RecoveryReadErrorFailsCleanly) {
   auto recovered = DurableGraphStore::Open(0, dir);
   ASSERT_OK(recovered);
   EXPECT_TRUE(recovered->get()->store().NodeExists(1));
+}
+
+// A snapshot rename is durable only once its directory is fsynced. If
+// that fsync fails, Checkpoint must stop before the checkpoint marker and
+// the log truncation: a power loss could still undo the rename, and the
+// log is then the only copy of the mutations.
+TEST_F(FailpointTest, DirSyncFailureLeavesWalIntact) {
+  const std::string dir = FreshDir("torture_dir_sync");
+  constexpr VertexId kNodes = 5;
+  {
+    auto db = DurableGraphStore::Open(0, dir);
+    ASSERT_OK(db);
+    for (VertexId v = 1; v <= kNodes; ++v) {
+      ASSERT_OK(db->get()->CreateNode(v, 1.0));
+    }
+    ASSERT_OK(db->get()->Sync());
+
+    FailpointConfig cfg;
+    cfg.policy = FailpointConfig::Policy::kNthHit;
+    cfg.n = 1;
+    FailpointRegistry::Global().Arm("snapshot.dir_sync.io_error", cfg);
+    EXPECT_TRUE(db->get()->Checkpoint().IsIOError());
+    EXPECT_EQ(
+        FailpointRegistry::Global().FiredCount("snapshot.dir_sync.io_error"),
+        1u);
+  }
+  auto entries = WriteAheadLog::ReadAll(dir + "/wal.log");
+  ASSERT_OK(entries);
+  ASSERT_EQ(entries->size(), static_cast<std::size_t>(kNodes));
+  for (const WalEntry& e : *entries) {
+    EXPECT_EQ(e.type, WalOpType::kCreateNode);
+  }
+
+  FailpointRegistry::Global().Reset();
+  auto reopened = DurableGraphStore::Open(0, dir);
+  ASSERT_OK(reopened);
+  for (VertexId v = 1; v <= kNodes; ++v) {
+    EXPECT_TRUE(reopened->get()->store().NodeExists(v)) << "node " << v;
+  }
 }
 
 // ---------------------------------------------------------------------------

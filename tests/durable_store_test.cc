@@ -1,5 +1,9 @@
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -309,6 +313,140 @@ TEST(DurableStoreTest, RepeatedCheckpointsStayConsistent) {
   EXPECT_EQ((*reopened)->store().NumNodes(), 50u);
   EXPECT_EQ((*reopened)->store().NumRelationships(), 49u);
   EXPECT_TRUE((*reopened)->store().CheckChains());
+}
+
+// --- Snapshot file I/O ------------------------------------------------------
+//
+// Snapshots are written in 8 KiB slices and read back through one 8 KiB
+// buffer; the cases below pin the slice boundaries, truncation, the
+// zero-padded shape older files have on disk, and a missing file.
+
+constexpr std::uint64_t kHeaderBytes = 32;
+constexpr std::uint64_t kSlice = 8192;
+
+// Every node and relationship field a snapshot carries, as text, so two
+// stores compare equal exactly when a round trip lost nothing.
+std::string Canonical(const GraphStore& store) {
+  std::ostringstream out;
+  for (const auto& n : store.DumpNodes()) {
+    out << "n " << n.id << " " << n.weight << " "
+        << static_cast<int>(n.state);
+    for (const auto& [key, value] : n.properties) {
+      out << " " << key << "=" << value;
+    }
+    out << "\n";
+  }
+  for (const auto& r : store.DumpRelationships()) {
+    out << "r " << r.src << " " << r.dst << " " << r.type << " " << r.ghost
+        << r.src_linked << r.dst_linked;
+    for (const auto& [key, value] : r.properties) {
+      out << " " << key << "=" << value;
+    }
+    out << "\n";
+  }
+  return out.str();
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// A store with node and edge properties, full and half relationships,
+// and a non-available node. `pad` is the length of one extra node
+// property, which sets the snapshot size byte by byte.
+GraphStore PropertyStore(std::size_t pad) {
+  GraphStore store(4);
+  EXPECT_OK(store.CreateNode(1, 2.5));
+  EXPECT_OK(store.CreateNode(2));
+  EXPECT_OK(store.CreateNode(3));
+  EXPECT_OK(store.AddEdge(1, 2, 7, true));
+  EXPECT_OK(store.AddEdge(3, 900, 0, false));
+  EXPECT_OK(store.SetNodeProperty(1, 0, "alice"));
+  EXPECT_OK(store.SetNodeProperty(2, 1, std::string(pad, 'p')));
+  EXPECT_OK(store.SetEdgeProperty(1, 2, 3, "since-2009"));
+  EXPECT_OK(store.SetNodeState(3, NodeState::kUnavailable));
+  return store;
+}
+
+// A PropertyStore whose snapshot content (file size minus the header) is
+// exactly `content` bytes.
+GraphStore StoreWithContentBytes(std::uint64_t content,
+                                 const std::string& scratch) {
+  EXPECT_OK(DurableGraphStore::WriteSnapshot(PropertyStore(0), scratch));
+  const std::uint64_t base = ReadFile(scratch).size() - kHeaderBytes;
+  EXPECT_LE(base, content);
+  return PropertyStore(
+      base <= content ? static_cast<std::size_t>(content - base) : 0);
+}
+
+TEST(DurableStoreTest, SnapshotRoundTripsAcrossSliceBoundaries) {
+  const std::string dir = FreshDir("hermes_snapshot_slices");
+  const std::string path = dir + "/snapshot.bin";
+  // Content lengths around one slice, file sizes around one slice, and
+  // a snapshot spanning several slices.
+  for (const std::uint64_t content :
+       {kSlice - 1, kSlice, kSlice + 1, kSlice - kHeaderBytes,
+        kSlice - kHeaderBytes + 1, 3 * kSlice + 17}) {
+    SCOPED_TRACE("content length " + std::to_string(content));
+    const GraphStore store = StoreWithContentBytes(content, path);
+    ASSERT_OK(DurableGraphStore::WriteSnapshot(store, path, 42));
+    EXPECT_EQ(ReadFile(path).size(), kHeaderBytes + content);
+
+    GraphStore restored(4);
+    std::uint64_t covered = 0;
+    ASSERT_OK(DurableGraphStore::LoadSnapshot(path, &restored, &covered));
+    EXPECT_EQ(covered, 42u);
+    EXPECT_EQ(Canonical(restored), Canonical(store));
+    EXPECT_TRUE(restored.CheckChains());
+  }
+}
+
+TEST(DurableStoreTest, TruncatedSnapshotIsAnIOErrorAtEveryByte) {
+  const std::string dir = FreshDir("hermes_snapshot_truncated");
+  const std::string path = dir + "/snapshot.bin";
+  const std::string cut_path = dir + "/cut.bin";
+  ASSERT_OK(DurableGraphStore::WriteSnapshot(PropertyStore(2 * kSlice), path));
+  const std::string bytes = ReadFile(path);
+  ASSERT_GT(bytes.size(), 2 * kSlice);
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    WriteFile(cut_path, bytes.substr(0, len));
+    GraphStore restored(4);
+    const Status st = DurableGraphStore::LoadSnapshot(cut_path, &restored);
+    ASSERT_TRUE(st.IsIOError()) << "cut at " << len << ": " << st.ToString();
+  }
+}
+
+TEST(DurableStoreTest, ZeroPaddedSnapshotStillLoads) {
+  // Older snapshot files are zero-padded to a whole number of 8 KiB
+  // pages; the content length, not the file size, bounds the load.
+  const std::string dir = FreshDir("hermes_snapshot_padded");
+  const std::string path = dir + "/snapshot.bin";
+  const GraphStore store = PropertyStore(100);
+  ASSERT_OK(DurableGraphStore::WriteSnapshot(store, path, 7));
+  std::string bytes = ReadFile(path);
+  ASSERT_NE(bytes.size() % kSlice, 0u);
+  bytes.resize((bytes.size() / kSlice + 1) * kSlice, '\0');
+  WriteFile(path, bytes);
+
+  GraphStore restored(4);
+  std::uint64_t covered = 0;
+  ASSERT_OK(DurableGraphStore::LoadSnapshot(path, &restored, &covered));
+  EXPECT_EQ(covered, 7u);
+  EXPECT_EQ(Canonical(restored), Canonical(store));
+}
+
+TEST(DurableStoreTest, MissingSnapshotIsNotFound) {
+  const std::string dir = FreshDir("hermes_snapshot_missing");
+  GraphStore restored(0);
+  EXPECT_TRUE(
+      DurableGraphStore::LoadSnapshot(dir + "/snapshot.bin", &restored)
+          .IsNotFound());
 }
 
 }  // namespace

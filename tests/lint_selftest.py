@@ -24,6 +24,10 @@ the regressions that motivated rule changes:
   * Request-id minting outside src/net/ must be flagged (a retry loop
     with fresh ids defeats the (src, request_id) dedup) while the
     server's reply echo and Options::first_request_id stay quiet.
+  * Failpoint names armed in tests/*.cc must name a HERMES_FAILPOINT*
+    site in src/ (arming a name nothing evaluates injects nothing),
+    while the `test.*` registry-unit names and metric keys that merely
+    look dotted stay quiet.
 
 Usage: tests/lint_selftest.py [repo_root]   (exit 0 = all cases pass)
 """
@@ -272,6 +276,37 @@ def case_request_id_minting_is_banned_outside_net():
         check("the bus itself stays quiet", "net/bus.cc" not in out, out)
 
 
+def case_failpoint_name_drift_is_flagged():
+    """A site renamed in src/ while a test keeps arming the old name
+    silently drops that coverage; the rule pins test literals to the
+    sites src/ actually evaluates."""
+    print("case: failpoint names in tests must name a src/ site")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write(root, "src/CMakeLists.txt",
+              "add_library(x STATIC storage/snap.cc)\n")
+        write(root, "src/storage/snap.cc",
+              "int f() {\n  HERMES_FAILPOINT_IOERROR(\"snap.read.io_error\");\n"
+              "  return 0;\n}\n")
+        write(root, "tests/t.cc",
+              "void t() {\n"
+              "  Arm(\"gone.read.io_error\", cfg);\n"
+              "  Arm(\"snap.read.io_error\", cfg);\n"
+              "  Arm(\"test.nth\", cfg);\n"
+              "  Arm(\"test.power.crash\", cfg);\n"
+              "  Count(\"lock.wal.mu.wait_us\");\n"
+              "}\n")
+        code, out = run_lint(root)
+        check("unknown failpoint name exits 1",
+              code == 1 and "gone.read.io_error" in out, out)
+        check("finding points at the test line", "tests/t.cc:2" in out, out)
+        check("a name src/ evaluates is quiet",
+              "snap.read.io_error" not in out, out)
+        check("test.* names and metric keys are quiet",
+              "test.nth" not in out and "test.power.crash" not in out
+              and "lock.wal.mu.wait_us" not in out, out)
+
+
 def case_repo_itself_is_clean():
     print("case: the repo itself lints clean")
     code, out = run_lint(REPO_ROOT)
@@ -288,6 +323,7 @@ def main():
                  case_real_sleeps_are_contained,
                  case_storage_write_streams_are_banned,
                  case_request_id_minting_is_banned_outside_net,
+                 case_failpoint_name_drift_is_flagged,
                  case_repo_itself_is_clean):
         case()
     if FAILURES:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo lint for the hermes codebase; runs as the `repo_lint` ctest.
 
-Checks (all over `src/`, the shipped library code):
+Checks (over `src/`, the shipped library code, except where noted):
 
   1. include guards: every header uses the canonical
      HERMES_<PATH>_H_ guard (``#ifndef`` / ``#define`` as the first
@@ -46,14 +46,21 @@ Checks (all over `src/`, the shipped library code):
      ``std::ofstream`` / ``std::fstream`` are banned there because
      ostream flushes reach the OS page cache, not the disk — a
      "durable" path built on them silently cannot fsync. Writes go
-     through storage/fd_appender.h (or raw pwrite as in PagedFile);
-     read-only ``std::ifstream`` (e.g. the WAL scanner) stays allowed.
+     through storage/fd_appender.h; read-only ``std::ifstream`` (e.g.
+     the WAL scanner) stays allowed.
   10. idempotency-token discipline: outside src/net/, no code may mint
      or increment a ``request_id`` — the id is the mutation's
      idempotency token and a caller-side retry loop with fresh ids
      silently reintroduces double-apply. Echoing (``reply.request_id =
      env->request_id``) and configuring ``first_request_id`` stay
      allowed; everything else routes through MessageBus::Call.
+  11. failpoint names in tests name real sites (tests/*.cc): every
+     string literal shaped like a failpoint site — dotted and ending in
+     ``.io_error`` / ``.short_write`` / ``.crash`` / ``.drop`` — must
+     name a ``HERMES_FAILPOINT*`` site in src/. Arming a name no site
+     evaluates is a silent no-op, so a renamed site would otherwise
+     quietly drop out of the torture sweep. The registry-unit names
+     under ``test.`` are exempt.
 
 Usage: tools/lint.py [repo_root]   (exit 0 = clean, 1 = findings)
 """
@@ -298,7 +305,7 @@ def check_failpoints_off_in_release(root, findings):
 # PR "the WAL never fsyncs" root cause: std::ofstream's flush() only hands
 # bytes to the OS, so no ostream-based write path can implement a
 # durability contract. Inside src/storage/ every write path must use the
-# fd-backed appender (storage/fd_appender.h) or raw pwrite; ofstream (and
+# fd-backed appender (storage/fd_appender.h); ofstream (and
 # the read/write fstream) are banned outright. std::ifstream is read-only
 # and stays allowed (the WAL scanner uses it).
 STORAGE_STREAM_RE = re.compile(r"std::o?fstream\b")
@@ -351,6 +358,38 @@ def check_request_id_minting(rel, text, findings):
                 "tokens (see DESIGN.md §12)")
 
 
+# --- failpoint-name drift (tests/) -----------------------------------------
+# FailpointRegistry::Arm accepts any name, so a test arming a site that
+# was renamed or deleted keeps passing while injecting nothing. Every
+# site-shaped literal in the tests must match a site evaluated in src/.
+FAILPOINT_SITE_RE = re.compile(r'\bHERMES_FAILPOINT\w*\(\s*"([^"]+)"')
+FAILPOINT_NAME_RE = re.compile(
+    r'"((?:[a-z0-9_]+\.)+(?:io_error|short_write|crash|drop))"')
+FAILPOINT_TEST_PREFIX = "test."
+
+
+def check_failpoint_names(root, findings):
+    tests = root / "tests"
+    if not tests.is_dir():
+        return
+    sites = set()
+    for path in (root / "src").rglob("*"):
+        if path.suffix in (".h", ".cc"):
+            sites.update(FAILPOINT_SITE_RE.findall(
+                strip_comments(path.read_text(encoding="utf-8"))))
+    for path in sorted(tests.glob("*.cc")):
+        rel = path.relative_to(root)
+        text = strip_comments(path.read_text(encoding="utf-8"))
+        for i, line in enumerate(text.splitlines(), 1):
+            for name in FAILPOINT_NAME_RE.findall(line):
+                if name.startswith(FAILPOINT_TEST_PREFIX) or name in sites:
+                    continue
+                findings.append(
+                    f"{rel}:{i}: failpoint '{name}' names no "
+                    "HERMES_FAILPOINT* site in src/ — arming it injects "
+                    "nothing")
+
+
 def check_determinism(rel, text, findings):
     rel_posix = rel.as_posix()
     if not any(rel_posix.startswith(d + "/") for d in DETERMINISM_DIRS):
@@ -390,6 +429,7 @@ def main(argv):
         check_storage_write_streams(rel, text, findings)
     check_cmake_lists_all_sources(root, findings)
     check_failpoints_off_in_release(root, findings)
+    check_failpoint_names(root, findings)
 
     if findings:
         print(f"lint.py: {len(findings)} finding(s):")
