@@ -41,15 +41,6 @@ cmake --build --preset "$preset" -j "$(nproc)"
 echo "== test =="
 ctest --preset "$preset" -j "$(nproc)"
 
-# The sanitizer presets compile HERMES_FAILPOINTS in; re-run the
-# crash-recovery torture sweep on its own so a failing seed is reported
-# with full output even when the main ctest pass above was terse. Under
-# the default preset the suite SKIPs (failpoints compiled out).
-if [ "$preset" != "default" ]; then
-  echo "== crash-recovery torture sweep ($preset) =="
-  ctest --preset "$preset" -R 'CrashTorture' --output-on-failure
-fi
-
 # The sanitizer presets build without the benches, so the BENCH_*.json
 # smoke test needs the default preset's fig7_edgecut. The default preset
 # already ran it as part of ctest above.

@@ -1,5 +1,7 @@
 #include "common/failpoint.h"
 
+#include <algorithm>
+
 namespace hermes {
 
 FailpointRegistry& FailpointRegistry::Global() {
@@ -33,11 +35,13 @@ void FailpointRegistry::Arm(const std::string& name,
   site->armed = true;
   site->evals = 0;
   site->rng = Rng(config.seed);
+  UpdateActive();
 }
 
 void FailpointRegistry::Disarm(const std::string& name) {
   MutexLock lock(&mu_);
   GetSite(name)->armed = false;
+  UpdateActive();
 }
 
 void FailpointRegistry::Reset() {
@@ -47,13 +51,20 @@ void FailpointRegistry::Reset() {
     site.evals = 0;
   }
   crashed_ = false;
+  UpdateActive();
+}
+
+void FailpointRegistry::UpdateActive() {
+  const bool any_armed =
+      std::any_of(sites_.begin(), sites_.end(),
+                  [](const auto& entry) { return entry.second.armed; });
+  active_.value.store(crashed_ || any_armed, std::memory_order_relaxed);
 }
 
 FailpointHit FailpointRegistry::Evaluate(const char* name) {
   MutexLock lock(&mu_);
   Site* site = GetSite(name);
   site->evals++;
-  site->lifetime_evals++;
   site->hits_counter->Increment();
   bool fired = false;
   if (crashed_) {
@@ -85,6 +96,7 @@ FailpointHit FailpointRegistry::Evaluate(const char* name) {
 void FailpointRegistry::LatchCrash(const char* name) {
   MutexLock lock(&mu_);
   crashed_ = true;
+  UpdateActive();
   MetricsRegistry::Global().GetCounter("failpoint.crashes")->Increment();
   GetSite(name);  // ensure the latching site is visible in test hooks
 }
@@ -92,12 +104,6 @@ void FailpointRegistry::LatchCrash(const char* name) {
 bool FailpointRegistry::crashed() const {
   MutexLock lock(&mu_);
   return crashed_;
-}
-
-std::uint64_t FailpointRegistry::Evaluations(const std::string& name) const {
-  MutexLock lock(&mu_);
-  auto it = sites_.find(name);
-  return it == sites_.end() ? 0 : it->second.lifetime_evals;
 }
 
 std::uint64_t FailpointRegistry::FiredCount(const std::string& name) const {

@@ -1,6 +1,7 @@
 #ifndef HERMES_COMMON_FAILPOINT_H_
 #define HERMES_COMMON_FAILPOINT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -26,21 +27,13 @@
 /// disk. This guarantees that nothing can be appended after a torn tail,
 /// which is what makes prefix-consistent recovery provable.
 ///
-/// The whole subsystem compiles to zero-cost no-ops unless
-/// HERMES_FAILPOINTS is defined (the asan-ubsan and tsan presets turn it
-/// on, mirroring HERMES_DEBUG_LOCK_ORDER). Release builds must keep it
-/// off — enforced by tools/lint.py. Sites outside src/storage and
-/// src/graphdb are also a lint finding: failpoints belong at storage
-/// I/O boundaries, not in partitioning or simulation logic.
+/// Every build compiles the sites in. A site costs one relaxed load of a
+/// header-visible flag until a test arms something (see Active()), and
+/// nothing outside tests/ may arm a site (tools/lint.py). Sites outside
+/// src/storage, src/graphdb and src/net are also a lint finding:
+/// failpoints belong at storage I/O and message-delivery boundaries, not
+/// in partitioning or simulation logic.
 namespace hermes {
-
-/// True when the registry is compiled in; tests use this to GTEST_SKIP
-/// torture cases under the default (uninstrumented) preset.
-#ifdef HERMES_FAILPOINTS
-inline constexpr bool kFailpointsEnabled = true;
-#else
-inline constexpr bool kFailpointsEnabled = false;
-#endif
 
 /// Activation policy for an armed failpoint. All three are deterministic
 /// given the config (probability draws come from a private seeded Rng).
@@ -66,12 +59,13 @@ struct FailpointHit {
 };
 
 /// Process-wide registry of failpoint sites. Sites self-register on
-/// first evaluation, so hit counts are observable even for sites that
-/// were never armed. Evaluation also increments `failpoint.<name>.hits`
-/// and (when fired) `failpoint.<name>.fired` in the global
-/// MetricsRegistry; the Counter pointers are cached per site, so the
-/// metrics mutex (rank kRankMetrics) is only taken on a site's first
-/// evaluation — legal because mu_ holds the lower rank kRankFailpoint.
+/// first evaluation, so while any site is armed, hit counts are
+/// observable even for sites that were not. Evaluation also increments
+/// `failpoint.<name>.hits` and (when fired) `failpoint.<name>.fired` in
+/// the global MetricsRegistry; the Counter pointers are cached per site,
+/// so the metrics mutex (rank kRankMetrics) is only taken on a site's
+/// first evaluation — legal because mu_ holds the lower rank
+/// kRankFailpoint.
 ///
 /// Thread-safe. mu_ may be acquired while holding any storage-stack
 /// mutex (DurableStore, WAL — both ranked below kRankFailpoint
@@ -81,12 +75,21 @@ class FailpointRegistry {
   /// The process-wide registry every HERMES_FAILPOINT_* macro consults.
   static FailpointRegistry& Global();
 
+  /// True while any site is armed or the crash latch is set. The site
+  /// macros read this first and skip Evaluate() (no mu_, no map lookup,
+  /// no hit counting) while it is false. Arm, Disarm, Reset and
+  /// LatchCrash recompute it under mu_.
+  static bool Active() {
+    return active_.value.load(std::memory_order_relaxed);
+  }
+
   /// Arms `name` with `config`, resetting the site's evaluation count so
   /// nth-hit policies count from the moment of arming.
   void Arm(const std::string& name, const FailpointConfig& config)
       EXCLUDES(mu_);
 
-  /// Disarms `name`; evaluations keep being counted.
+  /// Disarms `name`; its evaluations are counted only while some other
+  /// site is armed.
   void Disarm(const std::string& name) EXCLUDES(mu_);
 
   /// Disarms every site, clears all counts, and releases the crash
@@ -102,16 +105,16 @@ class FailpointRegistry {
   void LatchCrash(const char* name) EXCLUDES(mu_);
   bool crashed() const EXCLUDES(mu_);
 
-  /// Test hooks: lifetime evaluation / fire counts for one site.
-  std::uint64_t Evaluations(const std::string& name) const EXCLUDES(mu_);
+  /// Test hook: lifetime fire count for one site.
   std::uint64_t FiredCount(const std::string& name) const EXCLUDES(mu_);
 
  private:
+  FailpointRegistry() = default;
+
   struct Site {
     FailpointConfig config;
     bool armed = false;
     std::uint64_t evals = 0;  // since last Arm/Reset
-    std::uint64_t lifetime_evals = 0;
     std::uint64_t fired = 0;
     Rng rng{0};
     Counter* hits_counter = nullptr;   // failpoint.<name>.hits
@@ -119,7 +122,17 @@ class FailpointRegistry {
   };
 
   Site* GetSite(const std::string& name) REQUIRES(mu_);
+  /// active_ = crashed_ || any site armed.
+  void UpdateActive() REQUIRES(mu_);
 
+  // Static so a disarmed site reads it without calling Global(); the
+  // private constructor keeps Global() the only registry that writes it.
+  // Alone on its cache line: sites on every thread read it, and a
+  // written neighbour would turn each of those reads into a miss.
+  struct alignas(64) ActiveFlag {
+    std::atomic<bool> value;  // C++20: value-initialized to false
+  };
+  static inline ActiveFlag active_;
   mutable Mutex mu_{"failpoint_registry.mu", lock_order::kRankFailpoint};
   std::map<std::string, Site> sites_ GUARDED_BY(mu_);
   bool crashed_ GUARDED_BY(mu_) = false;
@@ -127,51 +140,37 @@ class FailpointRegistry {
 
 }  // namespace hermes
 
-/// Site macros. Only src/storage and src/graphdb may use these
-/// (tools/lint.py); everything expands to nothing without
-/// HERMES_FAILPOINTS.
+/// Site macros. Only src/storage, src/graphdb and src/net may use these
+/// (tools/lint.py). Each site first reads Active(), one relaxed atomic
+/// load, and goes into the registry only when it is true.
 ///
 ///   HERMES_FAILPOINT_HIT(name)          -> FailpointHit (inspect .fired)
 ///   HERMES_FAILPOINT_IOERROR(name)      -> return Status::IOError if fired
 ///   HERMES_FAILPOINT_CRASH(name)        -> latch crash + return IOError
-///   HERMES_FAILPOINT_LATCH_CRASH(name)  -> latch crash (no return)
-#ifdef HERMES_FAILPOINTS
-
-#define HERMES_FAILPOINT_HIT(name) \
-  ::hermes::FailpointRegistry::Global().Evaluate(name)
+///   HERMES_FAILPOINT_LATCH_CRASH(name)  -> latch crash (no return); used
+///                                          only after a site fired
+#define HERMES_FAILPOINT_HIT(name)                           \
+  (::hermes::FailpointRegistry::Active()                     \
+       ? ::hermes::FailpointRegistry::Global().Evaluate(name) \
+       : ::hermes::FailpointHit{})
 
 #define HERMES_FAILPOINT_LATCH_CRASH(name) \
   ::hermes::FailpointRegistry::Global().LatchCrash(name)
 
 #define HERMES_FAILPOINT_IOERROR(name)                              \
   do {                                                              \
-    if (::hermes::FailpointRegistry::Global().Evaluate(name).fired) \
+    if (HERMES_FAILPOINT_HIT(name).fired)                           \
       return ::hermes::Status::IOError(std::string("failpoint: ") + \
                                        (name));                     \
   } while (0)
 
-#define HERMES_FAILPOINT_CRASH(name)                                  \
-  do {                                                                \
-    if (::hermes::FailpointRegistry::Global().Evaluate(name).fired) { \
-      ::hermes::FailpointRegistry::Global().LatchCrash(name);         \
-      return ::hermes::Status::IOError(                               \
-          std::string("failpoint crash: ") + (name));                 \
-    }                                                                 \
+#define HERMES_FAILPOINT_CRASH(name)                          \
+  do {                                                        \
+    if (HERMES_FAILPOINT_HIT(name).fired) {                   \
+      ::hermes::FailpointRegistry::Global().LatchCrash(name); \
+      return ::hermes::Status::IOError(                       \
+          std::string("failpoint crash: ") + (name));         \
+    }                                                         \
   } while (0)
-
-#else  // !HERMES_FAILPOINTS
-
-#define HERMES_FAILPOINT_HIT(name) (::hermes::FailpointHit{})
-#define HERMES_FAILPOINT_LATCH_CRASH(name) \
-  do {                                     \
-  } while (0)
-#define HERMES_FAILPOINT_IOERROR(name) \
-  do {                                 \
-  } while (0)
-#define HERMES_FAILPOINT_CRASH(name) \
-  do {                               \
-  } while (0)
-
-#endif  // HERMES_FAILPOINTS
 
 #endif  // HERMES_COMMON_FAILPOINT_H_

@@ -30,8 +30,8 @@ class Histogram {
 
  private:
   static constexpr std::size_t kNumBuckets = 128;
-  // Bucket i covers [2^(i/4 - 8), 2^((i+1)/4 - 8)) roughly; computed via
-  // BucketFor. Values <= 0 go to bucket 0.
+  // Bucket i covers the quarter-decade [10^(i/4 - 8), 10^((i+1)/4 - 8));
+  // computed via BucketFor. Values <= 0 go to bucket 0.
   static std::size_t BucketFor(double value);
   static double BucketUpper(std::size_t bucket);
 

@@ -7,9 +7,10 @@
 /// a socket `hermesd` transport arrives.
 ///
 /// Fault injection: `msg.send.io_error` and `msg.recv.drop` failpoints
-/// fire at the send boundary; seeded duplicate/reorder cadences are
-/// plain Options so every build preset can exercise them
-/// deterministically.
+/// fire at the send boundary and hit every endpoint alike; the seeded
+/// duplicate/reorder/drop cadences are per-transport Options, and the
+/// drop cadence can target one endpoint (`drop_dst`), which a
+/// process-global failpoint cannot.
 #ifndef HERMES_NET_INPROC_TRANSPORT_H_
 #define HERMES_NET_INPROC_TRANSPORT_H_
 
@@ -44,11 +45,12 @@ class InProcTransport final : public Transport {
     std::uint64_t fault_seed = 0;
     /// Every n-th frame addressed to `drop_dst` vanishes after Send
     /// returns OK (0 = off) — the sender only learns via its reply
-    /// timeout, exactly like a lossy network. Unlike the msg.recv.drop
-    /// failpoint this is plain configuration, so benchmarks in every
-    /// build preset can measure retry cost deterministically. The
-    /// cadence counts every arrival (dropped frames included), so a hit
-    /// never shifts the phase onto the frames that follow it.
+    /// timeout, exactly like a lossy network. Unlike the process-global
+    /// msg.recv.drop failpoint it drops only frames addressed to one
+    /// endpoint, so a test or bench can lose replies while requests
+    /// still arrive. The cadence counts every arrival (dropped frames
+    /// included), so a hit never shifts the phase onto the frames that
+    /// follow it.
     std::uint64_t drop_every_n = 0;
     EndpointId drop_dst = 0;
   };

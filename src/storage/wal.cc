@@ -201,7 +201,9 @@ WriteAheadLog::~WriteAheadLog() {
   // A crash-latched failpoint means the "machine" died mid-run: the
   // staged frames never reached the OS and must not be written by the
   // destructor of the dead process.
-  if (kFailpointsEnabled && FailpointRegistry::Global().crashed()) return;
+  if (FailpointRegistry::Active() && FailpointRegistry::Global().crashed()) {
+    return;
+  }
   MutexLock lock(&mu_);
   if (!file_.valid() || pending_.empty() || !poison_.ok()) return;
   // audit:allow(blocking, best-effort close-time flush: the log is being

@@ -139,9 +139,6 @@ TEST(HermesClusterTest, InsertEdgeRollsBackGraphWhenSecondStoreFails) {
   // store's WAL append failed, the graph kept an edge no store hosts and
   // Validate() failed forever. The fix rolls the graph edge back (and
   // removes the first store's half) before surfacing the error.
-  if (!kFailpointsEnabled) {
-    GTEST_SKIP() << "needs HERMES_FAILPOINTS (asan-ubsan / tsan presets)";
-  }
   const std::string dir =
       ::testing::TempDir() + "/hermes_insert_rollback";
   std::filesystem::remove_all(dir);

@@ -432,11 +432,10 @@ TEST(ConcurrencyStressTest, WalResetDoesNotBlockStagers) {
 
 // The same invariant aimed at the group-commit leader: a leader stalled
 // inside its fsync window — even one whose fsync then *fails* (the
-// wal.sync.io_error failpoint, when the build has failpoints) — must not
-// hold wal.mu. Concurrent stagers keep completing, and the lock
-// profiler's hold-time histogram stays bounded by microseconds rather
-// than by the stall (the runtime half of the critical_section_audit
-// contract).
+// wal.sync.io_error failpoint) — must not hold wal.mu. Concurrent
+// stagers keep completing, and the lock profiler's hold-time histogram
+// stays bounded by microseconds rather than by the stall (the runtime
+// half of the critical_section_audit contract).
 TEST(ConcurrencyStressTest, WalStalledCommitLeaderDoesNotBlockStagers) {
   MetricsRegistry::Global().ResetAll();
   const std::string path = TempFile("cc_wal_stalled_leader.log");
@@ -453,25 +452,19 @@ TEST(ConcurrencyStressTest, WalStalledCommitLeaderDoesNotBlockStagers) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
-  if (kFailpointsEnabled) {
-    FailpointConfig cfg;
-    cfg.policy = FailpointConfig::Policy::kNthHit;
-    cfg.n = 1;
-    FailpointRegistry::Global().Arm("wal.sync.io_error", cfg);
-  }
+  FailpointConfig cfg;
+  cfg.policy = FailpointConfig::Policy::kNthHit;
+  cfg.n = 1;
+  FailpointRegistry::Global().Arm("wal.sync.io_error", cfg);
 
   std::thread leader([&wal] {
     WalEntry e;
     e.type = WalOpType::kCreateNode;
     e.a = 1;
     auto lsn = wal->Append(e, /*durable=*/true);
-    if (kFailpointsEnabled) {
-      // The window's fsync failed; the failure is transient (not poison)
-      // and was reported to the waiter that depended on it.
-      EXPECT_FALSE(lsn.ok());
-    } else {
-      EXPECT_TRUE(lsn.ok());
-    }
+    // The window's fsync failed; the failure is transient (not poison)
+    // and was reported to the waiter that depended on it.
+    EXPECT_FALSE(lsn.ok());
   });
   ASSERT_TRUE(AwaitTrue(parked, 5000));
 
@@ -495,7 +488,7 @@ TEST(ConcurrencyStressTest, WalStalledCommitLeaderDoesNotBlockStagers) {
   release.store(true);
   for (auto& t : stagers) t.join();
   leader.join();
-  if (kFailpointsEnabled) FailpointRegistry::Global().Reset();
+  FailpointRegistry::Global().Reset();
 
   // A later window retries the fsync and covers everything staged.
   ASSERT_OK(wal->Sync());

@@ -15,9 +15,6 @@
 // or the equivalent ctest -R filter printed alongside it. Set
 // HERMES_TORTURE_DEBUG=1 to trace every op, sync, and checkpoint with
 // its status and LSN while reproducing.
-//
-// The whole file skips under the default preset (HERMES_FAILPOINTS off);
-// the asan-ubsan/tsan presets compile the failpoints in.
 
 #include <algorithm>
 #include <cstdio>
@@ -26,6 +23,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -484,10 +482,6 @@ constexpr int kSeedsPerShard = 10;
 class CrashTortureTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
-    if (!kFailpointsEnabled) {
-      GTEST_SKIP() << "HERMES_FAILPOINTS is off (default preset); run the "
-                      "asan-ubsan or tsan preset for fault injection";
-    }
     FailpointRegistry::Global().Reset();
   }
   void TearDown() override { FailpointRegistry::Global().Reset(); }
@@ -515,9 +509,6 @@ INSTANTIATE_TEST_SUITE_P(Shards, CrashTortureTest,
 class FailpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kFailpointsEnabled) {
-      GTEST_SKIP() << "HERMES_FAILPOINTS is off (default preset)";
-    }
     FailpointRegistry::Global().Reset();
   }
   void TearDown() override { FailpointRegistry::Global().Reset(); }
@@ -590,6 +581,76 @@ TEST_F(FailpointTest, HitCountersReachMetricsRegistry) {
   ASSERT_TRUE(snap.counters.count("failpoint.test.metrics.fired"));
   EXPECT_GE(snap.counters.at("failpoint.test.metrics.hits"), 2u);
   EXPECT_GE(snap.counters.at("failpoint.test.metrics.fired"), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The disarmed fast path, driven through a real site: every durable WAL
+// append evaluates wal.sync.io_error. A site counts a hit only while
+// FailpointRegistry::Active() is set; each case fails if one of Arm,
+// Disarm, Reset or LatchCrash stops updating that flag.
+
+// failpoint.wal.sync.io_error.hits, or nullopt while it is unregistered.
+std::optional<std::uint64_t> SyncHits() {
+  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  const auto it = snap.counters.find("failpoint.wal.sync.io_error.hits");
+  if (it == snap.counters.end()) return std::nullopt;
+  return it->second;
+}
+
+// Durably appends one entry to a fresh WAL in `dir`; returns the hits it
+// added to wal.sync.io_error and stores the append's outcome in `st`.
+std::uint64_t SyncHitsOfDurableAppend(const std::string& dir, Status* st) {
+  auto wal = WriteAheadLog::Open(FreshDir(dir) + "/wal.log");
+  EXPECT_OK(wal);
+  if (!wal.ok()) return 0;
+  const std::uint64_t before = SyncHits().value_or(0);
+  WalEntry e;
+  e.type = WalOpType::kCreateNode;
+  *st = wal->Append(e, /*durable=*/true).status();
+  return SyncHits().value_or(0) - before;
+}
+
+void ArmUnrelatedSite() {
+  FailpointConfig cfg;
+  cfg.policy = FailpointConfig::Policy::kNthHit;
+  cfg.n = 1'000'000;
+  FailpointRegistry::Global().Arm("test.unrelated", cfg);
+}
+
+TEST_F(FailpointTest, DisarmedSiteRegistersNoHit) {
+  const bool registered = SyncHits().has_value();
+  Status st;
+  EXPECT_EQ(SyncHitsOfDurableAppend("fastpath_disarmed", &st), 0u);
+  EXPECT_OK(st);
+  EXPECT_EQ(SyncHits().has_value(), registered);
+}
+
+TEST_F(FailpointTest, UnrelatedArmedSiteMakesRealSiteCountHits) {
+  ArmUnrelatedSite();
+  Status st;
+  EXPECT_EQ(SyncHitsOfDurableAppend("fastpath_unrelated", &st), 1u);
+  EXPECT_OK(st);
+}
+
+TEST_F(FailpointTest, DisarmingTheOnlySiteReturnsToTheUncountedPath) {
+  ArmUnrelatedSite();
+  FailpointRegistry::Global().Disarm("test.unrelated");
+  Status st;
+  EXPECT_EQ(SyncHitsOfDurableAppend("fastpath_disarm", &st), 0u);
+}
+
+TEST_F(FailpointTest, ResetReturnsToTheUncountedPath) {
+  ArmUnrelatedSite();
+  FailpointRegistry::Global().Reset();
+  Status st;
+  EXPECT_EQ(SyncHitsOfDurableAppend("fastpath_reset", &st), 0u);
+}
+
+TEST_F(FailpointTest, CrashLatchWithNothingArmedFailsTheRealSite) {
+  FailpointRegistry::Global().LatchCrash("test.latcher");
+  Status st;  // every site fires; the append's first one rejects it
+  SyncHitsOfDurableAppend("fastpath_latch", &st);
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -883,10 +944,6 @@ void RunMessageFaultSeed(std::uint64_t seed) {
 class CrashTortureMessageFaultTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
-    if (!kFailpointsEnabled) {
-      GTEST_SKIP() << "HERMES_FAILPOINTS is off (default preset); run the "
-                      "asan-ubsan or tsan preset for fault injection";
-    }
     FailpointRegistry::Global().Reset();
   }
   void TearDown() override { FailpointRegistry::Global().Reset(); }

@@ -13,9 +13,8 @@ the regressions that motivated rule changes:
     clocks, std::unordered_*, pointer-keyed map/set) and stay quiet
     outside those modules and on `lint:allow(determinism)` lines.
   * The failpoint rules must flag HERMES_FAILPOINT* macros outside the
-    storage stack, an option(HERMES_FAILPOINTS) that defaults ON, and a
-    non-sanitizer preset enabling HERMES_FAILPOINTS — and stay quiet on
-    sites inside src/storage//src/graphdb/ and on sanitizer presets.
+    storage stack and a failpoint armed outside tests/ — and stay quiet
+    on sites inside src/storage//src/graphdb/ and on arming in tests/.
   * Real sleeps (sleep_for/sleep_until) in src/ must be flagged outside
     the cluster's opt-in hop-latency model (hermes_cluster.cc).
   * Write-path streams in src/storage/ must be flagged
@@ -160,30 +159,26 @@ def case_failpoint_containment():
         check("in-stack site is not flagged", "storage/ok.cc" not in out, out)
 
 
-def case_failpoints_must_stay_out_of_release():
-    print("case: HERMES_FAILPOINTS must default OFF and stay out of "
-          "non-sanitizer presets")
+def case_failpoints_armed_only_in_tests():
+    print("case: only tests/ may arm a failpoint")
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        write(root, "src/CMakeLists.txt", "\n")
-        write(root, "CMakeLists.txt",
-              'option(HERMES_FAILPOINTS "fault injection" ON)\n')
-        write(root, "CMakePresets.json", """\
-{
-  "version": 3,
-  "configurePresets": [
-    {"name": "release",
-     "cacheVariables": {"HERMES_FAILPOINTS": "ON"}},
-    {"name": "asan-ubsan",
-     "cacheVariables": {"HERMES_FAILPOINTS": "ON"}}
-  ]
-}
-""")
+        write(root, "src/CMakeLists.txt",
+              "add_library(x STATIC storage/arm.cc)\n")
+        write(root, "src/storage/arm.cc",
+              "void f() {\n  FailpointRegistry::Global().Arm(\"test.x\", "
+              "cfg);\n}\n")
+        write(root, "examples/arm.cpp",
+              "int main() { FailpointRegistry::Global().Arm(\"test.x\", "
+              "cfg); }\n")
+        write(root, "tests/arm_ok.cc",
+              "void t() { FailpointRegistry::Global().Arm(\"test.x\", "
+              "cfg); }\n")
         code, out = run_lint(root)
-        check("failpoints-on-by-default exits 1", code == 1, out)
-        check("flags the ON option default", "must default" in out, out)
-        check("flags the release preset", "'release'" in out, out)
-        check("sanitizer preset is not flagged", "'asan-ubsan'" not in out, out)
+        check("arming outside tests/ exits 1", code == 1, out)
+        check("flags the src/ file", "src/storage/arm.cc:2" in out, out)
+        check("flags the examples/ file", "examples/arm.cpp:1" in out, out)
+        check("tests/ file is not flagged", "arm_ok.cc" not in out, out)
 
 
 def case_real_sleeps_are_contained():
@@ -319,7 +314,7 @@ def main():
                  case_determinism_rules_fire,
                  case_determinism_scope_and_suppression,
                  case_failpoint_containment,
-                 case_failpoints_must_stay_out_of_release,
+                 case_failpoints_armed_only_in_tests,
                  case_real_sleeps_are_contained,
                  case_storage_write_streams_are_banned,
                  case_request_id_minting_is_banned_outside_net,

@@ -276,10 +276,6 @@ TEST(NetTransportTest, ShutdownFailsPendingCallsPromptly) {
 }
 
 TEST(NetTransportFaultTest, SendIoErrorSurfacesAsStatus) {
-  if (!kFailpointsEnabled) {
-    GTEST_SKIP() << "HERMES_FAILPOINTS is off (default preset); run the "
-                    "asan-ubsan or tsan preset";
-  }
   // One attempt: this test pins how a send fault SURFACES; the healing
   // retry path has its own tests below.
   MessageBus::Options bopt;
@@ -298,9 +294,6 @@ TEST(NetTransportFaultTest, SendIoErrorSurfacesAsStatus) {
 }
 
 TEST(NetTransportFaultTest, DroppedRequestSurfacesRetryableTimeout) {
-  if (!kFailpointsEnabled) {
-    GTEST_SKIP() << "HERMES_FAILPOINTS is off (default preset)";
-  }
   MessageBus::Options bopt;
   bopt.call_timeout_us = 100'000;
   bopt.max_attempts = 1;  // pin the surfaced status, not the healing
@@ -368,8 +361,8 @@ double ExtractWeight(Rig* rig, VertexId v) {
 // duplicate path suppressed the re-apply but sent NOTHING, so the
 // same-token resend timed out forever — the at-most-once hole. Post-fix
 // the cached reply is replayed and the call succeeds with the mutation
-// applied exactly once. The transport drop knob makes this run in every
-// preset, failpoints or not.
+// applied exactly once. The transport's drop_dst knob loses only the
+// replies, which the process-global msg.recv.drop failpoint cannot.
 TEST(NetTransportRetryTest, ReplyLossIsHealedBySameTokenRetry) {
   InProcTransport::Options topt;
   topt.drop_every_n = 2;  // with fault_seed 1: every odd arrival at the
@@ -548,9 +541,6 @@ TEST(NetTransportRecoveryTest, RecoveredTokenAnsweredAfterCrashBetweenApplyAndRe
 }
 
 TEST(NetTransportFaultTest, TransientSendErrorIsHealedByRetry) {
-  if (!kFailpointsEnabled) {
-    GTEST_SKIP() << "HERMES_FAILPOINTS is off (default preset)";
-  }
   MessageBus::Options bopt;
   bopt.retry_backoff_us = 500;
   Rig rig({}, bopt);
@@ -569,9 +559,6 @@ TEST(NetTransportFaultTest, TransientSendErrorIsHealedByRetry) {
 }
 
 TEST(NetTransportFaultTest, DroppedRequestIsHealedByRetry) {
-  if (!kFailpointsEnabled) {
-    GTEST_SKIP() << "HERMES_FAILPOINTS is off (default preset)";
-  }
   MessageBus::Options bopt;
   bopt.call_timeout_us = 50'000;
   bopt.retry_backoff_us = 500;
@@ -625,9 +612,6 @@ TEST(NetTransportClusterTest, ClusterSurvivesDuplicateAndReorderFaults) {
 }
 
 TEST(NetTransportClusterTest, ClusterReadSurfacesRetryableDeliveryFault) {
-  if (!kFailpointsEnabled) {
-    GTEST_SKIP() << "HERMES_FAILPOINTS is off (default preset)";
-  }
   HermesCluster::Options opt;
   opt.bus.call_timeout_us = 100'000;
   opt.bus.max_attempts = 1;  // pin the surfaced status, not the healing
@@ -648,9 +632,6 @@ TEST(NetTransportClusterTest, ClusterReadSurfacesRetryableDeliveryFault) {
 }
 
 TEST(NetTransportClusterTest, ClusterWriteSurfacesInjectedSendError) {
-  if (!kFailpointsEnabled) {
-    GTEST_SKIP() << "HERMES_FAILPOINTS is off (default preset)";
-  }
   HermesCluster cluster(TwoTriangles(), SplitAtBridge());
   FailpointConfig cfg;
   cfg.policy = FailpointConfig::Policy::kNthHit;

@@ -11,9 +11,6 @@
 //     step returned early with the vertex replicated on the target
 //     while the directory still routed to the source — Validate()
 //     stayed false forever.
-//
-// Failpoints compile to no-ops under the default preset, so these skip
-// there and run under asan-ubsan / tsan (HERMES_FAILPOINTS).
 
 #include <filesystem>
 #include <string>
@@ -47,10 +44,6 @@ Graph SmallSocial(std::uint64_t seed = 5) {
 class StatusDisciplineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kFailpointsEnabled) {
-      GTEST_SKIP() << "HERMES_FAILPOINTS is off (default preset); run the "
-                      "asan-ubsan or tsan preset for fault injection";
-    }
     FailpointRegistry::Global().Reset();
   }
   void TearDown() override { FailpointRegistry::Global().Reset(); }

@@ -351,9 +351,6 @@ TEST(WalTest, PerAppendFsyncModeSyncsEveryDurableAppend) {
 // to advance next_lsn_ anyway, so the LSN sequence had a hole and the
 // log kept accepting appends beyond a tail of unknown state.
 TEST(WalTest, FailedAppendRollsBackLsnAndPoisonsTheLog) {
-  if (!kFailpointsEnabled) {
-    GTEST_SKIP() << "needs HERMES_FAILPOINTS (asan-ubsan / tsan presets)";
-  }
   const std::string path = TempLog("wal_append_rollback.log");
   {
     auto wal = WriteAheadLog::Open(path);
@@ -395,9 +392,6 @@ TEST(WalTest, FailedAppendRollsBackLsnAndPoisonsTheLog) {
 // Reset() that failed at the truncate step left the file still holding
 // the old records while the in-memory log believed it was empty.
 TEST(WalTest, FailedResetPoisonsAndNamesTheReset) {
-  if (!kFailpointsEnabled) {
-    GTEST_SKIP() << "needs HERMES_FAILPOINTS (asan-ubsan / tsan presets)";
-  }
   const std::string path = TempLog("wal_reset_fail.log");
   auto wal = WriteAheadLog::Open(path);
   ASSERT_OK(wal);
@@ -424,9 +418,6 @@ TEST(WalTest, FailedResetPoisonsAndNamesTheReset) {
 // Modeled here: entries synced before a power loss survive it; entries
 // merely appended (sitting in OS buffers) do not.
 TEST(WalTest, OsBufferDropLosesExactlyTheUnsyncedSuffix) {
-  if (!kFailpointsEnabled) {
-    GTEST_SKIP() << "needs HERMES_FAILPOINTS (asan-ubsan / tsan presets)";
-  }
   const std::string path = TempLog("wal_os_drop.log");
   {
     auto wal = WriteAheadLog::Open(path);
@@ -457,9 +448,6 @@ TEST(WalTest, OsBufferDropLosesExactlyTheUnsyncedSuffix) {
 // the log: the bytes are in the file, and a later window's fsync covers
 // them.
 TEST(WalTest, TransientFsyncFailureIsRetryable) {
-  if (!kFailpointsEnabled) {
-    GTEST_SKIP() << "needs HERMES_FAILPOINTS (asan-ubsan / tsan presets)";
-  }
   const std::string path = TempLog("wal_transient.log");
   auto wal = WriteAheadLog::Open(path);
   ASSERT_OK(wal);

@@ -39,9 +39,10 @@ Checks (over `src/`, the shipped library code, except where noted):
      (src/common/failpoint.{h,cc}) — fault injection is a
      storage-recovery and message-delivery tool, not a general
      control-flow mechanism.
-  8. failpoints stay out of release builds: the ``HERMES_FAILPOINTS``
-     CMake option must default OFF, and only sanitizer presets
-     (name contains "san") may turn it ON in CMakePresets.json.
+  8. only tests arm failpoints: every build compiles the sites in, so
+     ``FailpointRegistry::...Arm(`` in any C++ file outside tests/ (and
+     the registry itself, src/common/failpoint.{h,cc}) is a finding — a
+     shipped binary must never inject a fault.
   9. durable writes go through the fd appender (src/storage/ only):
      ``std::ofstream`` / ``std::fstream`` are banned there because
      ostream flushes reach the OS page cache, not the disk — a
@@ -65,7 +66,6 @@ Checks (over `src/`, the shipped library code, except where noted):
 Usage: tools/lint.py [repo_root]   (exit 0 = clean, 1 = findings)
 """
 
-import json
 import re
 import sys
 from pathlib import Path
@@ -108,6 +108,9 @@ ALLOWED_ATOMIC = {
     Path("src/common/lock_order.h"),
     Path("src/common/lock_order.cc"),
     Path("src/common/thread_annotations.h"),
+    # The failpoint armed flag is a gate, not a counter: every site reads
+    # it lock-free before deciding whether to take the registry's mutex.
+    Path("src/common/failpoint.h"),
 }
 
 
@@ -271,34 +274,31 @@ def check_failpoint_containment(rel, text, findings):
                 "src/net/ only (registry: src/common/failpoint.{h,cc})")
 
 
-def check_failpoints_off_in_release(root, findings):
-    """Failpoints are a sanitizer-preset-only feature: the CMake option
-    must default OFF and only *san presets may flip it ON. Skips
-    silently when the build files are absent (lint_selftest fixtures)."""
-    cmake = root / "CMakeLists.txt"
-    if cmake.is_file():
-        m = re.search(r"option\s*\(\s*HERMES_FAILPOINTS\b[^)]*\)",
-                      cmake.read_text(encoding="utf-8"))
-        if m and not re.search(r"\bOFF\s*\)$", m.group(0)):
-            findings.append(
-                "CMakeLists.txt: option(HERMES_FAILPOINTS) must default "
-                "OFF — failpoints never ship in default/release builds")
-    presets = root / "CMakePresets.json"
-    if presets.is_file():
-        try:
-            data = json.loads(presets.read_text(encoding="utf-8"))
-        except ValueError as err:
-            findings.append(f"CMakePresets.json: unparseable: {err}")
-            return
-        for preset in data.get("configurePresets", []):
-            name = preset.get("name", "")
-            value = str(preset.get("cacheVariables", {})
-                        .get("HERMES_FAILPOINTS", "OFF")).upper()
-            if value in ("ON", "TRUE", "1") and "san" not in name:
-                findings.append(
-                    f"CMakePresets.json: preset '{name}' sets "
-                    "HERMES_FAILPOINTS=ON — only sanitizer presets may "
-                    "compile failpoints in")
+# Matches FailpointRegistry::Global().Arm( and the like on one line.
+FAILPOINT_ARM_RE = re.compile(r"\bFailpointRegistry\b[^;]*?\bArm\s*\(")
+
+
+def check_failpoints_armed_only_in_tests(root, findings):
+    """Scans the C++ under every top-level directory except tests/,
+    dot-directories and CMake build trees."""
+    for top in sorted(root.iterdir()):
+        if (not top.is_dir() or top.name == "tests"
+                or top.name.startswith(".")
+                or (top / "CMakeCache.txt").exists()):
+            continue
+        for path in sorted(top.rglob("*")):
+            if path.suffix not in (".h", ".cc", ".cpp"):
+                continue
+            rel = path.relative_to(root)
+            if rel in FAILPOINT_ALLOWED_FILES:
+                continue
+            text = strip_comments(path.read_text(encoding="utf-8"))
+            for i, line in enumerate(text.splitlines(), 1):
+                if FAILPOINT_ARM_RE.search(line):
+                    findings.append(
+                        f"{rel}:{i}: arms a failpoint outside tests/ — "
+                        "every build compiles the sites in, so only tests "
+                        "may inject faults")
 
 
 # --- storage write-path streams -------------------------------------------
@@ -428,7 +428,7 @@ def main(argv):
         check_failpoint_containment(rel, text, findings)
         check_storage_write_streams(rel, text, findings)
     check_cmake_lists_all_sources(root, findings)
-    check_failpoints_off_in_release(root, findings)
+    check_failpoints_armed_only_in_tests(root, findings)
     check_failpoint_names(root, findings)
 
     if findings:
