@@ -698,7 +698,7 @@ Status HermesCluster::InsertEdge(VertexId u, VertexId v, std::uint32_t type) {
 }
 
 Result<MigrationStats> HermesCluster::RunLightweightRepartition() {
-  TraceSpan span("cluster.repartition");
+  TraceSpan span("cluster.repartition", m_repartition_us_);
   MutexLock migration(&migration_mu_);
   LightweightRepartitioner repartitioner(options_.repartitioner);
   RepartitionResult logical;
@@ -815,7 +815,7 @@ Result<MigrationStats> HermesCluster::MigrateDiffChunked(
     // the source, whose record answers Unavailable).
     {
       WriterMutexLock dir(&dir_mu_);
-      TraceSpan copy_span("cluster.migration.copy");
+      TraceSpan copy_span("cluster.migration.copy", m_migration_copy_us_);
       for (VertexId v : chunk) {
         const PartitionId sp = assignment_.PartitionOf(v);
         // Extraction is read-only: a failure here aborts the chunk with
@@ -933,7 +933,8 @@ Result<MigrationStats> HermesCluster::MigrateDiffChunked(
     // and delete the originals.
     {
       WriterMutexLock dir(&dir_mu_);
-      TraceSpan remove_span("cluster.migration.remove");
+      TraceSpan remove_span("cluster.migration.remove",
+                            m_migration_remove_us_);
       for (std::size_t i = 0; i < extracts.size(); ++i) {
         const ExtractReply& snap = extracts[i];
         const PartitionId sp = sources[i];

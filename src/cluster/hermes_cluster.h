@@ -363,6 +363,13 @@ class HermesCluster {
       MetricsRegistry::Global().GetCounter("cluster.vertices_migrated");
   Counter* const m_migration_bytes_ =
       MetricsRegistry::Global().GetCounter("cluster.migration_bytes_copied");
+  // Latency histograms of the TraceSpans of the same names.
+  Histogram* const m_repartition_us_ =
+      MetricsRegistry::Global().GetHistogram("cluster.repartition");
+  Histogram* const m_migration_copy_us_ =
+      MetricsRegistry::Global().GetHistogram("cluster.migration.copy");
+  Histogram* const m_migration_remove_us_ =
+      MetricsRegistry::Global().GetHistogram("cluster.migration.remove");
 };
 
 }  // namespace hermes

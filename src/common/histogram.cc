@@ -1,74 +1,72 @@
 #include "common/histogram.h"
 
 #include <algorithm>
-#include <cmath>
+#include <chrono>
 
 namespace hermes {
 
-Histogram::Histogram() : buckets_(kNumBuckets, 0) {}
-
-std::size_t Histogram::BucketFor(double value) {
-  if (value <= 0.0) return 0;
-  // Quarter-decade log buckets spanning ~1e-8 .. ~1e24.
-  const double idx = (std::log10(value) + 8.0) * 4.0;
-  if (idx < 0.0) return 0;
-  const auto b = static_cast<std::size_t>(idx);
-  return std::min(b, kNumBuckets - 1);
+std::uint64_t SteadyNowMicros() {
+  static const auto origin = std::chrono::steady_clock::now();
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - origin)
+          .count());
 }
 
-double Histogram::BucketUpper(std::size_t bucket) {
-  return std::pow(10.0, (static_cast<double>(bucket + 1) / 4.0) - 8.0);
+namespace {
+
+// The value reported for bucket `i`: the midpoint of the values it holds
+// (the value itself below kSubBuckets), so a quantile is off by at most
+// half a bucket width, 1/64 of the value.
+double BucketValue(std::size_t i) {
+  if (i < Histogram::kSubBuckets) return static_cast<double>(i);
+  // Above that, bucket i holds the values v with v >> shift == sub.
+  constexpr std::size_t kHalf = Histogram::kSubBuckets / 2;
+  const int shift = static_cast<int>(i / kHalf) - 1;
+  const std::uint64_t sub = kHalf + i % kHalf;
+  const std::uint64_t width = std::uint64_t{1} << shift;
+  return static_cast<double>(sub * width + width / 2);
 }
 
-void Histogram::Add(double value) {
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++count_;
-  sum_ += value;
-  ++buckets_[BucketFor(value)];
-}
+}  // namespace
 
-void Histogram::Merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
+HistogramSummary Histogram::Summary() const {
+  std::uint64_t counts[kBuckets];
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    counts[i] = buckets_[i].load(std::memory_order_relaxed);
+    total += counts[i];
   }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    buckets_[i] += other.buckets_[i];
+  HistogramSummary out;
+  if (total == 0) return out;
+  const std::uint64_t max = max_.load(std::memory_order_relaxed);
+  // min() guards a snapshot racing the first Record (min not yet lowered).
+  const std::uint64_t min = std::min(min_.load(std::memory_order_relaxed), max);
+  out.count = total;
+  out.sum = static_cast<double>(sum_.load(std::memory_order_relaxed));
+  out.mean = out.sum / static_cast<double>(total);
+  out.min = static_cast<double>(min);
+  out.max = static_cast<double>(max);
+  // Nearest rank: the quantile-q sample is the ceil(q * count)-th
+  // smallest, with q in thousandths so the rank is exact. The ranks
+  // ascend, so one pass over the buckets serves all four.
+  const std::uint64_t per_mille[] = {500, 900, 990, 999};
+  double* const outs[] = {&out.p50, &out.p90, &out.p99, &out.p999};
+  std::size_t b = 0;
+  std::uint64_t cum = counts[0];
+  for (int k = 0; k < 4; ++k) {
+    const std::uint64_t rank = (total * per_mille[k] + 999) / 1000;
+    while (cum < rank && b + 1 < kBuckets) cum += counts[++b];
+    *outs[k] = std::clamp(BucketValue(b), out.min, out.max);
   }
+  return out;
 }
 
 void Histogram::Reset() {
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = max_ = 0.0;
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-}
-
-double Histogram::Quantile(double q) const {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  if (q <= 0.0) return min_;
-  if (q >= 1.0) return max_;
-  const double target = q * static_cast<double>(count_);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    cumulative += static_cast<double>(buckets_[i]);
-    if (cumulative >= target) {
-      return std::min(max_, std::max(min_, BucketUpper(i)));
-    }
-  }
-  return max_;
+  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
+  sum_.store(0, std::memory_order_relaxed);
+  min_.store(~std::uint64_t{0}, std::memory_order_relaxed);
+  max_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace hermes

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "common/histogram.h"
 #endif
 
 /// Runtime lock-order validator (DESIGN.md §6 / §8).
@@ -110,9 +112,12 @@ inline void ResetGraphForTest() {}
 /// lock.<name>.acquisitions / lock.<name>.contention counters and
 /// lock.<name>.hold_us / lock.<name>.wait_us histograms, which is how
 /// they reach HermesCluster::MetricsSnapshot() and the BENCH_*.json
-/// reports. All recording is lock-free (relaxed atomics into power-of-two
-/// buckets); the one raw std::mutex guards only first-use registration
-/// and snapshotting. Compiled out entirely unless HERMES_LOCK_PROFILING.
+/// reports. The histograms are the registry's own lock-free Histogram
+/// (common/histogram.h), so recording takes no lock. The profiler keeps
+/// its own row table rather than registering through MetricsRegistry,
+/// whose Mutex it instruments; the one raw std::mutex guards only
+/// first-use registration and snapshotting. Compiled out entirely unless
+/// HERMES_LOCK_PROFILING.
 
 /// Opaque per-lock-name accumulator; obtained once per Mutex via
 /// ProfileStats and cached in the Mutex's atomic slot.
@@ -124,10 +129,6 @@ struct LockStats;
 /// validator's kRankUnranked behavior.
 LockStats* ProfileStats(std::atomic<LockStats*>* slot, const char* name,
                         int rank);
-
-/// Steady-clock microseconds. Defined here (not via metrics.h) because
-/// thread_annotations.h cannot include metrics.h without a cycle.
-std::uint64_t ProfileNowMicros();
 
 /// Records one contended acquisition that waited `wait_us`.
 void ProfileContention(LockStats* s, std::uint64_t wait_us);
@@ -144,24 +145,13 @@ void ProfileAcquired(LockStats* s, const void* mu);
 /// (e.g. a lock handed between threads) is silently dropped.
 void ProfileReleased(const void* mu);
 
-/// One histogram, summarized. Quantiles are approximate: each falls on
-/// the upper bound of its power-of-two bucket.
-struct HistSummary {
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = 0;
-  std::uint64_t max = 0;
-  std::uint64_t p50 = 0;
-  std::uint64_t p99 = 0;
-};
-
 struct LockProfileRow {
   std::string name;
   std::uint64_t acquisitions = 0;
   std::uint64_t contention = 0;
   std::uint64_t try_lock_misses = 0;
-  HistSummary hold;
-  HistSummary wait;
+  HistogramSummary hold;
+  HistogramSummary wait;
 };
 
 /// All registered locks, sorted by name. Rows with zero acquisitions and

@@ -54,26 +54,18 @@ class Gauge {
 /// Point-in-time copy of every registered metric, suitable for printing
 /// or JSON serialization (bench/bench_common.h's reporter).
 struct MetricsSnapshot {
-  struct HistogramSummary {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double mean = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double p50 = 0.0;
-    double p99 = 0.0;
-  };
+  using HistogramSummary = hermes::HistogramSummary;
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSummary> histograms;
 };
 
-/// Named metric registry. Subsystems register counters/gauges once (at
-/// construction) and hold the returned pointer; the registry owns the
-/// metric objects, so their addresses are stable for the process
-/// lifetime. Latency observations go into the shared Histogram type
-/// under the registry mutex — fine for span-granularity timings, not for
-/// per-record hot paths (use a Counter there).
+/// Named metric registry. Subsystems register their counters, gauges and
+/// histograms once (at construction, or in a function-local static) and
+/// hold the returned pointer; the registry owns the metric objects, so
+/// their addresses are stable for the process lifetime. Recording through
+/// a held pointer is lock-free for all three kinds: only registration,
+/// Snapshot() and ResetAll() take the registry mutex.
 ///
 /// Metric naming scheme (DESIGN.md §7): `<subsystem>.<event>`, with unit
 /// suffixes `_bytes` / `_us` where the unit is not a plain count, e.g.
@@ -87,27 +79,26 @@ class MetricsRegistry {
   /// The process-wide registry every subsystem reports into.
   static MetricsRegistry& Global();
 
-  /// Returns the counter/gauge registered under `name`, creating it on
-  /// first use. The pointer stays valid for the registry's lifetime.
+  /// Returns the metric registered under `name`, creating it on first
+  /// use. The pointer stays valid for the registry's lifetime.
   Counter* GetCounter(const std::string& name) EXCLUDES(mu_);
   Gauge* GetGauge(const std::string& name) EXCLUDES(mu_);
+  Histogram* GetHistogram(const std::string& name) EXCLUDES(mu_);
 
-  /// Records one latency/size observation into the histogram `name`.
-  void Observe(const std::string& name, double value) EXCLUDES(mu_);
-
-  /// Copies every metric's current value.
+  /// Copies every metric's current value; histograms are summarized.
   MetricsSnapshot Snapshot() const EXCLUDES(mu_);
 
-  /// Zeroes all counters/gauges and clears all histograms. Registered
-  /// metric objects survive (cached pointers stay valid) — used by tests
-  /// and benches to isolate measurement windows.
+  /// Zeroes every metric. Registered metric objects survive (cached
+  /// pointers stay valid) — used by tests and benches to isolate
+  /// measurement windows.
   void ResetAll() EXCLUDES(mu_);
 
  private:
   mutable Mutex mu_{"metrics_registry.mu", lock_order::kRankMetrics};
   std::map<std::string, std::unique_ptr<Counter>> counters_ GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ GUARDED_BY(mu_);
-  std::map<std::string, Histogram> histograms_ GUARDED_BY(mu_);
+  std::map<std::string, std::unique_ptr<Histogram>> histograms_
+      GUARDED_BY(mu_);
 };
 
 /// One completed trace span: a named duration on the timeline.
@@ -143,23 +134,20 @@ class TraceLog {
   std::uint64_t recorded_ GUARDED_BY(mu_) = 0;
 };
 
-/// Steady-clock microseconds since process start (monotonic).
-std::uint64_t SteadyNowMicros();
-
 #ifndef HERMES_NO_TRACING
 
-/// RAII span: records a TraceEvent (and a latency observation into the
-/// registry histogram of the same name) when it goes out of scope. The
-/// name must be a string literal / static string. Compiles to a no-op
-/// when the build defines HERMES_NO_TRACING.
+/// RAII span: records a TraceEvent and a latency sample into `latency`
+/// (the registry histogram of the same name, cached by the call site)
+/// when it goes out of scope. The name must be a string literal / static
+/// string. Compiles to a no-op when the build defines HERMES_NO_TRACING.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name)
-      : name_(name), start_us_(SteadyNowMicros()) {}
+  TraceSpan(const char* name, Histogram* latency)
+      : name_(name), latency_(latency), start_us_(SteadyNowMicros()) {}
   ~TraceSpan() {
     const std::uint64_t duration = SteadyNowMicros() - start_us_;
     TraceLog::Global().Record(name_, start_us_, duration);
-    MetricsRegistry::Global().Observe(name_, static_cast<double>(duration));
+    latency_->Record(duration);
   }
 
   TraceSpan(const TraceSpan&) = delete;
@@ -167,6 +155,7 @@ class TraceSpan {
 
  private:
   const char* const name_;
+  Histogram* const latency_;
   const std::uint64_t start_us_;
 };
 
@@ -174,7 +163,7 @@ class TraceSpan {
 
 class TraceSpan {
  public:
-  explicit TraceSpan(const char*) {}
+  TraceSpan(const char*, Histogram*) {}
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 };

@@ -22,7 +22,8 @@ InProcTransport::InProcTransport(Options options)
       m_bytes_(MetricsRegistry::Global().GetCounter("msg.bytes")),
       m_dropped_(MetricsRegistry::Global().GetCounter("msg.dropped")),
       m_duplicated_(MetricsRegistry::Global().GetCounter("msg.duplicated")),
-      m_reordered_(MetricsRegistry::Global().GetCounter("msg.reordered")) {}
+      m_reordered_(MetricsRegistry::Global().GetCounter("msg.reordered")),
+      m_dispatch_us_(MetricsRegistry::Global().GetHistogram("msg.dispatch")) {}
 
 InProcTransport::~InProcTransport() { Shutdown(); }
 
@@ -140,7 +141,7 @@ void InProcTransport::DispatchLoop(Inbox* inbox) {
       inbox->depth_gauge->Set(static_cast<double>(inbox->frames.size()));
       inbox->not_full.NotifyAll();
     }
-    TraceSpan span("msg.dispatch");
+    TraceSpan span("msg.dispatch", m_dispatch_us_);
     inbox->handler(std::move(frame));
   }
 }

@@ -102,6 +102,7 @@ class InProcTransport final : public Transport {
   Counter* const m_dropped_;
   Counter* const m_duplicated_;
   Counter* const m_reordered_;
+  Histogram* const m_dispatch_us_;
 };
 
 }  // namespace hermes

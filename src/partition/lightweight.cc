@@ -195,8 +195,11 @@ std::size_t LightweightRepartitioner::RunStage(const Graph& g, int stage,
     }
   }
   if (moves > 0) {
-    MetricsRegistry::Global().Observe("repartitioner.stage_gain_sum",
-                                      static_cast<double>(applied_gain));
+    // A gauge, not a histogram: with overloaded_admits_any_gain a stage's
+    // applied gain can be negative, and the running sum keeps its sign.
+    static Gauge* const stage_gain_sum =
+        MetricsRegistry::Global().GetGauge("repartitioner.stage_gain_sum");
+    stage_gain_sum->Add(static_cast<double>(applied_gain));
   }
   return moves;
 }
@@ -228,7 +231,11 @@ std::size_t LightweightRepartitioner::RunIteration(const Graph& g,
 RepartitionResult LightweightRepartitioner::Run(const Graph& g,
                                                 PartitionAssignment* asg,
                                                 AuxiliaryData* aux) const {
-  TraceSpan span("repartitioner.run");
+  static Histogram* const run_us =
+      MetricsRegistry::Global().GetHistogram("repartitioner.run");
+  static Histogram* const iteration_moves =
+      MetricsRegistry::Global().GetHistogram("repartitioner.iteration_moves");
+  TraceSpan span("repartitioner.run", run_us);
   auto& registry = MetricsRegistry::Global();
   Counter* const m_iterations =
       registry.GetCounter("repartitioner.iterations");
@@ -268,8 +275,7 @@ RepartitionResult LightweightRepartitioner::Run(const Graph& g,
     m_iterations->Increment();
     m_moves->Increment(moves);
     m_aux_bytes->Increment(iter_bytes);
-    registry.Observe("repartitioner.iteration_moves",
-                     static_cast<double>(moves));
+    iteration_moves->Record(moves);
     const std::size_t cut = EdgeCut(g, *asg);
     if (options_.track_edge_cut_history) {
       result.edge_cut_history.push_back(cut);

@@ -2,7 +2,6 @@
 // durable cluster, crash it (drop the object without shutdown), recover,
 // and verify the rebuilt directory/graph/stores match.
 
-#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -21,13 +20,6 @@
 namespace hermes {
 namespace {
 
-std::string FreshDir(const char* name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 Graph SmallSocial(std::uint64_t seed = 5) {
   SocialGraphOptions opt;
   opt.num_vertices = 600;
@@ -37,7 +29,7 @@ Graph SmallSocial(std::uint64_t seed = 5) {
 
 TEST(ClusterRecoveryTest, RecoverEmptyDirectoryYieldsEmptyCluster) {
   HermesCluster::Options opt;
-  opt.durability_dir = FreshDir("hermes_cluster_empty");
+  opt.durability_dir = test::FreshDir("hermes_cluster_empty");
   auto cluster = HermesCluster::Recover(4, opt);
   ASSERT_OK(cluster);
   EXPECT_EQ((*cluster)->graph().NumVertices(), 0u);
@@ -45,7 +37,7 @@ TEST(ClusterRecoveryTest, RecoverEmptyDirectoryYieldsEmptyCluster) {
 }
 
 TEST(ClusterRecoveryTest, CrashAfterLoadRecoversEverything) {
-  const std::string dir = FreshDir("hermes_cluster_load");
+  const std::string dir = test::FreshDir("hermes_cluster_load");
   Graph g = SmallSocial();
   const Graph original = g;
   const auto asg = HashPartitioner(1).Partition(g, 4);
@@ -67,7 +59,7 @@ TEST(ClusterRecoveryTest, CrashAfterLoadRecoversEverything) {
 }
 
 TEST(ClusterRecoveryTest, WritesAndWeightsSurviveCrash) {
-  const std::string dir = FreshDir("hermes_cluster_writes");
+  const std::string dir = test::FreshDir("hermes_cluster_writes");
   Graph g = SmallSocial(7);
   const auto asg = HashPartitioner(1).Partition(g, 4);
   std::size_t edges_after_workload = 0;
@@ -98,7 +90,7 @@ TEST(ClusterRecoveryTest, WritesAndWeightsSurviveCrash) {
 }
 
 TEST(ClusterRecoveryTest, RepartitioningSurvivesCrash) {
-  const std::string dir = FreshDir("hermes_cluster_repart");
+  const std::string dir = test::FreshDir("hermes_cluster_repart");
   Graph g = SmallSocial(9);
   const auto initial = HashPartitioner(1).Partition(g, 4);
   // Hotspot, then repartition, then crash.
@@ -127,7 +119,7 @@ TEST(ClusterRecoveryTest, RepartitioningSurvivesCrash) {
 }
 
 TEST(ClusterRecoveryTest, CheckpointTruncatesAllLogs) {
-  const std::string dir = FreshDir("hermes_cluster_ckpt");
+  const std::string dir = test::FreshDir("hermes_cluster_ckpt");
   Graph g = SmallSocial(11);
   const auto asg = HashPartitioner(1).Partition(g, 2);
   HermesCluster::Options opt;
@@ -148,7 +140,7 @@ TEST(ClusterRecoveryTest, RemovedNodeRecoversAsTombstoneNotPhantom) {
   // partition 0 (the directory default) that no store hosts — Validate()
   // failed forever and any mutation against the id diverged graph and
   // stores. Recover() now tombstones such ids.
-  const std::string dir = FreshDir("hermes_cluster_phantom");
+  const std::string dir = test::FreshDir("hermes_cluster_phantom");
   {
     Graph g(5);
     ASSERT_OK(g.AddEdge(0, 1));

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -139,10 +138,7 @@ TEST(HermesClusterTest, InsertEdgeRollsBackGraphWhenSecondStoreFails) {
   // store's WAL append failed, the graph kept an edge no store hosts and
   // Validate() failed forever. The fix rolls the graph edge back (and
   // removes the first store's half) before surfacing the error.
-  const std::string dir =
-      ::testing::TempDir() + "/hermes_insert_rollback";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::string dir = test::FreshDir("hermes_insert_rollback");
   Graph g(4);
   PartitionAssignment asg(4, 2);
   asg.Assign(2, 1);

@@ -1,7 +1,11 @@
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -210,64 +214,152 @@ TEST(RngTest, ForkProducesIndependentStream) {
 
 // --- Histogram ------------------------------------------------------------
 
+// The histogram's error bound: a reported quantile is within 3.2% of the
+// exact nearest-rank sample.
+constexpr double kQuantileTolerance = 0.032;
+
+// Nearest-rank quantile of `sorted`, the rule Histogram::Summary uses.
+double ExactQuantile(const std::vector<std::uint64_t>& sorted,
+                     std::uint64_t per_mille) {
+  const std::uint64_t rank = (sorted.size() * per_mille + 999) / 1000;
+  return static_cast<double>(sorted[rank - 1]);
+}
+
 TEST(HistogramTest, EmptyIsZero) {
   Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Mean(), 0.0);
-  EXPECT_EQ(h.Quantile(0.5), 0.0);
+  const HistogramSummary s = h.Summary();
+  EXPECT_EQ(s.count, 0u);
+  EXPECT_EQ(s.mean, 0.0);
+  EXPECT_EQ(s.min, 0.0);
+  EXPECT_EQ(s.max, 0.0);
+  EXPECT_EQ(s.p50, 0.0);
+  EXPECT_EQ(s.p999, 0.0);
 }
 
 TEST(HistogramTest, TracksMinMaxMean) {
   Histogram h;
-  h.Add(1.0);
-  h.Add(2.0);
-  h.Add(3.0);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 3.0);
-  EXPECT_DOUBLE_EQ(h.Mean(), 2.0);
+  h.Record(1);
+  h.Record(2);
+  h.Record(3);
+  const HistogramSummary s = h.Summary();
+  EXPECT_EQ(s.count, 3u);
+  EXPECT_DOUBLE_EQ(s.sum, 6.0);
+  EXPECT_DOUBLE_EQ(s.min, 1.0);
+  EXPECT_DOUBLE_EQ(s.max, 3.0);
+  EXPECT_DOUBLE_EQ(s.mean, 2.0);
 }
 
-TEST(HistogramTest, QuantileIsMonotone) {
+TEST(HistogramTest, ValuesBelowSubBucketCountAreExact) {
   Histogram h;
-  for (int i = 1; i <= 1000; ++i) h.Add(static_cast<double>(i));
-  double prev = 0.0;
-  for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
-    const double val = h.Quantile(q);
-    EXPECT_GE(val, prev);
-    prev = val;
+  for (std::uint64_t v = 0; v < Histogram::kSubBuckets; ++v) {
+    h.Reset();
+    h.Record(v);
+    h.Record(v);
+    h.Record(Histogram::kSubBuckets - 1);
+    // Two of the three samples are v, so the median is v, unclamped
+    // whenever v < 63.
+    EXPECT_DOUBLE_EQ(h.Summary().p50, static_cast<double>(v)) << v;
   }
-  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 1000.0);
+  h.Reset();
+  for (std::uint64_t v = 0; v < Histogram::kSubBuckets; ++v) h.Record(v);
+  const HistogramSummary s = h.Summary();
+  EXPECT_DOUBLE_EQ(s.p50, 31.0);  // the 32nd smallest of 0..63
+  EXPECT_DOUBLE_EQ(s.p90, 57.0);  // rank ceil(57.6) = 58
+  EXPECT_DOUBLE_EQ(s.p99, 63.0);
 }
 
 TEST(HistogramTest, QuantileApproximatesMedian) {
   Histogram h;
-  for (int i = 1; i <= 10000; ++i) h.Add(static_cast<double>(i));
-  const double median = h.Quantile(0.5);
-  // Bucketed estimate: allow a factor-2 band.
-  EXPECT_GT(median, 2500.0);
-  EXPECT_LT(median, 10000.0);
+  for (std::uint64_t i = 1; i <= 10000; ++i) h.Record(i);
+  // The exact nearest-rank median of 1..10000 is 5000.
+  EXPECT_NEAR(h.Summary().p50, 5000.0, kQuantileTolerance * 5000.0);
 }
 
-TEST(HistogramTest, MergeCombines) {
-  Histogram a;
-  Histogram b;
-  a.Add(1.0);
-  b.Add(9.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.max(), 9.0);
-  EXPECT_DOUBLE_EQ(a.Mean(), 5.0);
+// Windows [base, 2 * base) from 1 to 10^9: every quantile of every window
+// lands within the error bound of the exact one.
+TEST(HistogramTest, QuantilesWithinBoundFromOneToBillion) {
+  Histogram h;
+  Rng rng(17);
+  for (double base = 1.0; base <= 1e9; base *= 1.37) {
+    h.Reset();
+    std::vector<std::uint64_t> samples;
+    for (int i = 0; i < 2000; ++i) {
+      const auto v = static_cast<std::uint64_t>(
+          base * (1.0 + rng.NextDouble()));
+      samples.push_back(v);
+      h.Record(v);
+    }
+    std::sort(samples.begin(), samples.end());
+    const HistogramSummary s = h.Summary();
+    ASSERT_EQ(s.count, samples.size());
+    const std::pair<double, std::uint64_t> checks[] = {
+        {s.p50, 500}, {s.p90, 900}, {s.p99, 990}, {s.p999, 999}};
+    for (const auto& [reported, per_mille] : checks) {
+      const double exact = ExactQuantile(samples, per_mille);
+      EXPECT_LE(std::abs(reported - exact), kQuantileTolerance * exact)
+          << "base " << base << " q " << per_mille << "/1000";
+    }
+    EXPECT_DOUBLE_EQ(s.min, static_cast<double>(samples.front()));
+    EXPECT_DOUBLE_EQ(s.max, static_cast<double>(samples.back()));
+  }
+}
+
+TEST(HistogramTest, QuantileIsMonotone) {
+  Histogram h;
+  Rng rng(5);
+  // Heavy-tailed: mostly small, a few very large.
+  for (int i = 0; i < 100000; ++i) {
+    const double u = rng.NextDouble();
+    h.Record(static_cast<std::uint64_t>(10.0 / (1.0 - 0.999999 * u)));
+  }
+  const HistogramSummary s = h.Summary();
+  EXPECT_LE(s.min, s.p50);
+  EXPECT_LE(s.p50, s.p90);
+  EXPECT_LE(s.p90, s.p99);
+  EXPECT_LE(s.p99, s.p999);
+  EXPECT_LE(s.p999, s.max);
 }
 
 TEST(HistogramTest, ResetClears) {
   Histogram h;
-  h.Add(5.0);
+  h.Record(5);
+  h.Record(1u << 20);
   h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Mean(), 0.0);
+  const HistogramSummary empty = h.Summary();
+  EXPECT_EQ(empty.count, 0u);
+  EXPECT_EQ(empty.sum, 0.0);
+  EXPECT_EQ(empty.max, 0.0);
+  // Min and max restart from the first sample after the reset, and the
+  // quantiles are clamped to them (the bucket's midpoint is not 1000003).
+  h.Record(1000003);
+  const HistogramSummary s = h.Summary();
+  EXPECT_EQ(s.count, 1u);
+  EXPECT_DOUBLE_EQ(s.min, 1000003.0);
+  EXPECT_DOUBLE_EQ(s.max, 1000003.0);
+  EXPECT_DOUBLE_EQ(s.p50, 1000003.0);
+  EXPECT_DOUBLE_EQ(s.p999, 1000003.0);
+}
+
+TEST(HistogramTest, ConcurrentRecordsKeepExactCountAndSum) {
+  Histogram h;
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 100000;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&h, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        h.Record(i * static_cast<std::uint64_t>(t + 1));
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  const HistogramSummary s = h.Summary();
+  EXPECT_EQ(s.count, kThreads * kPerThread);
+  // sum over t of (t + 1) * (0 + 1 + ... + kPerThread - 1)
+  const std::uint64_t triangle = kPerThread * (kPerThread - 1) / 2;
+  EXPECT_DOUBLE_EQ(s.sum, static_cast<double>(triangle * (1 + 2 + 3 + 4)));
+  EXPECT_DOUBLE_EQ(s.min, 0.0);
+  EXPECT_DOUBLE_EQ(s.max, static_cast<double>((kPerThread - 1) * kThreads));
 }
 
 // --- ThreadPool ------------------------------------------------------------

@@ -8,7 +8,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -34,12 +33,6 @@
 
 namespace hermes {
 namespace {
-
-std::string TempFile(const char* name) {
-  std::string path = ::testing::TempDir() + "/" + name;
-  std::remove(path.c_str());
-  return path;
-}
 
 // Bounded wait for a flag set by another thread; returns whether it was
 // set within `timeout_ms`. The no-blocking-under-lock regressions below
@@ -247,7 +240,7 @@ TEST(ConcurrencyStressTest, TransactionsUnderContentionReleaseEverything) {
 // Concurrent appenders: LSNs must come out dense and unique, and every
 // frame must be intact on disk (no interleaved torn writes).
 TEST(ConcurrencyStressTest, WalConcurrentAppendsKeepFramesIntact) {
-  const std::string path = TempFile("cc_wal.log");
+  const std::string path = test::FreshPath("cc_wal.log");
   constexpr int kThreads = 4;
   constexpr int kPerThread = 50;
   {
@@ -295,7 +288,7 @@ TEST(ConcurrencyStressTest, WalConcurrentAppendsKeepFramesIntact) {
 // OK must be fsynced, and the leader/follower protocol must batch the
 // callers into shared commit windows instead of one fsync per append.
 TEST(ConcurrencyStressTest, WalConcurrentDurableAppendsShareFsyncWindows) {
-  const std::string path = TempFile("cc_wal_durable.log");
+  const std::string path = test::FreshPath("cc_wal_durable.log");
   constexpr int kThreads = 4;
   constexpr int kPerThread = 25;
   {
@@ -345,7 +338,7 @@ TEST(ConcurrencyStressTest, WalConcurrentDurableAppendsShareFsyncWindows) {
 // cover everything appended before it was called, and none may deadlock
 // with the appenders' arrival notifications.
 TEST(ConcurrencyStressTest, WalSyncersRaceAppenders) {
-  const std::string path = TempFile("cc_wal_syncers.log");
+  const std::string path = test::FreshPath("cc_wal_syncers.log");
   auto wal = WriteAheadLog::Open(path);
   ASSERT_OK(wal);
   constexpr int kAppenders = 3;
@@ -379,7 +372,7 @@ TEST(ConcurrencyStressTest, WalSyncersRaceAppenders) {
 // group-commit leader token and truncates off-lock; stagers must keep
 // completing while the truncate is parked in the test hook.
 TEST(ConcurrencyStressTest, WalResetDoesNotBlockStagers) {
-  const std::string path = TempFile("cc_wal_reset_stagers.log");
+  const std::string path = test::FreshPath("cc_wal_reset_stagers.log");
   auto wal = WriteAheadLog::Open(path);
   ASSERT_OK(wal);
   for (int i = 0; i < 3; ++i) {
@@ -438,7 +431,7 @@ TEST(ConcurrencyStressTest, WalResetDoesNotBlockStagers) {
 // half of the critical_section_audit contract).
 TEST(ConcurrencyStressTest, WalStalledCommitLeaderDoesNotBlockStagers) {
   MetricsRegistry::Global().ResetAll();
-  const std::string path = TempFile("cc_wal_stalled_leader.log");
+  const std::string path = test::FreshPath("cc_wal_stalled_leader.log");
   auto wal = WriteAheadLog::Open(path);
   ASSERT_OK(wal);
 
@@ -510,9 +503,7 @@ TEST(ConcurrencyStressTest, WalStalledCommitLeaderDoesNotBlockStagers) {
 // Concurrent logged mutations on one partition store, then recovery from
 // the log: nothing may be lost or torn.
 TEST(ConcurrencyStressTest, DurableStoreConcurrentMutationsRecover) {
-  const std::string dir = ::testing::TempDir() + "/cc_durable_store";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::string dir = test::FreshDir("cc_durable_store");
   constexpr int kThreads = 4;
   constexpr int kNodesPerThread = 40;
   {
@@ -559,9 +550,7 @@ TEST(ConcurrencyStressTest, DurableStoreConcurrentMutationsRecover) {
 // OK must survive an immediate reopen WITHOUT any explicit Sync — the
 // whole point of the per-mutation durability contract.
 TEST(ConcurrencyStressTest, DurableStoreDurableMutationsSurviveReopen) {
-  const std::string dir = ::testing::TempDir() + "/cc_durable_mutations";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::string dir = test::FreshDir("cc_durable_mutations");
   constexpr int kThreads = 4;
   constexpr int kNodesPerThread = 25;
   {

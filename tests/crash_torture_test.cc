@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -46,13 +45,6 @@
 
 namespace hermes {
 namespace {
-
-std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
 
 // ---------------------------------------------------------------------------
 // Logical ops, applied identically to the durable store and the model.
@@ -346,7 +338,7 @@ constexpr int kMaxStepsPerRound = 220;
 
 void RunTortureSeed(std::uint64_t seed) {
   const std::string dir =
-      FreshDir("crash_torture_seed" + std::to_string(seed));
+      test::FreshDir("crash_torture_seed" + std::to_string(seed));
   FailpointRegistry::Global().Reset();
 
   auto opened = DurableGraphStore::Open(0, dir);
@@ -600,7 +592,7 @@ std::optional<std::uint64_t> SyncHits() {
 // Durably appends one entry to a fresh WAL in `dir`; returns the hits it
 // added to wal.sync.io_error and stores the append's outcome in `st`.
 std::uint64_t SyncHitsOfDurableAppend(const std::string& dir, Status* st) {
-  auto wal = WriteAheadLog::Open(FreshDir(dir) + "/wal.log");
+  auto wal = WriteAheadLog::Open(test::FreshDir(dir) + "/wal.log");
   EXPECT_OK(wal);
   if (!wal.ok()) return 0;
   const std::uint64_t before = SyncHits().value_or(0);
@@ -657,7 +649,7 @@ TEST_F(FailpointTest, CrashLatchWithNothingArmedFailsTheRealSite) {
 // Deterministic end-to-end crash scenarios.
 
 TEST_F(FailpointTest, TornWalAppendLosesOnlyTheTornOp) {
-  const std::string dir = FreshDir("torture_torn_append");
+  const std::string dir = test::FreshDir("torture_torn_append");
   {
     auto db = DurableGraphStore::Open(0, dir);
     ASSERT_OK(db->get()->CreateNode(1, 1.0));
@@ -687,7 +679,7 @@ TEST_F(FailpointTest, TornWalAppendLosesOnlyTheTornOp) {
 // power loss survive; ops that only reached the OS page cache are gone —
 // and recovery sees EXACTLY the fsynced prefix, nothing in between.
 TEST_F(FailpointTest, OsBufferDropRecoversExactlyTheFsyncedPrefix) {
-  const std::string dir = FreshDir("torture_os_drop");
+  const std::string dir = test::FreshDir("torture_os_drop");
   {
     auto db = DurableGraphStore::Open(0, dir);
     ASSERT_OK(db->get()->CreateNode(1, 1.0));
@@ -715,7 +707,7 @@ TEST_F(FailpointTest, OsBufferDropRecoversExactlyTheFsyncedPrefix) {
 // With durable_mutations on, a mutation that returned OK is durable,
 // full stop: a power loss immediately after must not lose it.
 TEST_F(FailpointTest, DurableMutationSurvivesImmediatePowerLoss) {
-  const std::string dir = FreshDir("torture_durable_mutation");
+  const std::string dir = test::FreshDir("torture_durable_mutation");
   {
     DurableGraphStore::Options options;
     options.durable_mutations = true;
@@ -733,7 +725,7 @@ TEST_F(FailpointTest, DurableMutationSurvivesImmediatePowerLoss) {
 }
 
 TEST_F(FailpointTest, CrashBetweenSnapshotAndTruncateDoesNotDoubleApply) {
-  const std::string dir = FreshDir("torture_checkpoint_window");
+  const std::string dir = test::FreshDir("torture_checkpoint_window");
   {
     auto db = DurableGraphStore::Open(0, dir);
     ASSERT_OK(db->get()->CreateNode(1, 1.0));
@@ -757,7 +749,7 @@ TEST_F(FailpointTest, CrashBetweenSnapshotAndTruncateDoesNotDoubleApply) {
 }
 
 TEST_F(FailpointTest, LsnsDoNotRestartAfterCheckpointAndReopen) {
-  const std::string dir = FreshDir("torture_lsn_floor");
+  const std::string dir = test::FreshDir("torture_lsn_floor");
   {
     auto db = DurableGraphStore::Open(0, dir);
     ASSERT_OK(db->get()->CreateNode(1, 1.0));
@@ -780,7 +772,7 @@ TEST_F(FailpointTest, LsnsDoNotRestartAfterCheckpointAndReopen) {
 }
 
 TEST_F(FailpointTest, RecoveryReadErrorFailsCleanly) {
-  const std::string dir = FreshDir("torture_recovery_read");
+  const std::string dir = test::FreshDir("torture_recovery_read");
   {
     auto db = DurableGraphStore::Open(0, dir);
     ASSERT_OK(db->get()->CreateNode(1, 1.0));
@@ -804,7 +796,7 @@ TEST_F(FailpointTest, RecoveryReadErrorFailsCleanly) {
 // the log truncation: a power loss could still undo the rename, and the
 // log is then the only copy of the mutations.
 TEST_F(FailpointTest, DirSyncFailureLeavesWalIntact) {
-  const std::string dir = FreshDir("torture_dir_sync");
+  const std::string dir = test::FreshDir("torture_dir_sync");
   constexpr VertexId kNodes = 5;
   {
     auto db = DurableGraphStore::Open(0, dir);

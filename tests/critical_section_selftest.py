@@ -303,10 +303,11 @@ Status Log::Flush() {
 
 def case_repo_itself_is_clean():
     print("case: this repository audits clean")
-    json_path = Path(tempfile.mkdtemp()) / "audit.json"
-    code, out = run_audit(REPO_ROOT, json_path)
-    check("repo exits 0", code == 0, out)
-    summary = json.loads(json_path.read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        json_path = Path(tmp) / "audit.json"
+        code, out = run_audit(REPO_ROOT, json_path)
+        check("repo exits 0", code == 0, out)
+        summary = json.loads(json_path.read_text())
     check("repo has zero unsuppressed findings",
           summary["findings_total"] == 0, summary)
     check("every repo suppression is reasoned and applied",

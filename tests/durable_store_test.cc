@@ -15,13 +15,6 @@
 namespace hermes {
 namespace {
 
-std::string FreshDir(const char* name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 void PopulateSmall(DurableGraphStore* db) {
   ASSERT_OK(db->CreateNode(1, 2.0));
   ASSERT_OK(db->CreateNode(2));
@@ -48,7 +41,7 @@ void ExpectSmallContent(const GraphStore& store,
 }
 
 TEST(DurableStoreTest, RecoversFromWalOnly) {
-  const std::string dir = FreshDir("hermes_wal_only");
+  const std::string dir = test::FreshDir("hermes_wal_only");
   {
     auto db = DurableGraphStore::Open(0, dir);
     ASSERT_OK(db);
@@ -61,7 +54,7 @@ TEST(DurableStoreTest, RecoversFromWalOnly) {
 }
 
 TEST(DurableStoreTest, RecoversFromSnapshotAfterCheckpoint) {
-  const std::string dir = FreshDir("hermes_snapshot");
+  const std::string dir = test::FreshDir("hermes_snapshot");
   {
     auto db = DurableGraphStore::Open(0, dir);
     ASSERT_OK(db);
@@ -78,7 +71,7 @@ TEST(DurableStoreTest, RecoversFromSnapshotAfterCheckpoint) {
 }
 
 TEST(DurableStoreTest, SnapshotPlusTailReplay) {
-  const std::string dir = FreshDir("hermes_mixed");
+  const std::string dir = test::FreshDir("hermes_mixed");
   {
     auto db = DurableGraphStore::Open(0, dir);
     ASSERT_OK(db);
@@ -101,7 +94,7 @@ TEST(DurableStoreTest, SnapshotPlusTailReplay) {
 }
 
 TEST(DurableStoreTest, DeletesSurviveRecovery) {
-  const std::string dir = FreshDir("hermes_deletes");
+  const std::string dir = test::FreshDir("hermes_deletes");
   {
     auto db = DurableGraphStore::Open(0, dir);
     ASSERT_OK(db);
@@ -127,7 +120,7 @@ TEST(DurableStoreTest, GhostFlagsSurviveSnapshotRoundTrip) {
   ASSERT_OK(store.AddEdge(10, 500, 0, false));  // real half (10<500)
   ASSERT_OK(store.AddEdge(20, 3, 0, false));    // ghost half (20>3)
 
-  const std::string path = ::testing::TempDir() + "/hermes_ghosts.snap";
+  const std::string path = test::FreshPath("hermes_ghosts.snap");
   ASSERT_OK(DurableGraphStore::WriteSnapshot(store, path));
   GraphStore restored(2);
   ASSERT_OK(DurableGraphStore::LoadSnapshot(path, &restored));
@@ -144,7 +137,7 @@ TEST(DurableStoreTest, UnavailableStateSurvivesSnapshot) {
   GraphStore store(0);
   ASSERT_OK(store.CreateNode(1));
   ASSERT_OK(store.SetNodeState(1, NodeState::kUnavailable));
-  const std::string path = ::testing::TempDir() + "/hermes_state.snap";
+  const std::string path = test::FreshPath("hermes_state.snap");
   ASSERT_OK(DurableGraphStore::WriteSnapshot(store, path));
   GraphStore restored(0);
   ASSERT_OK(DurableGraphStore::LoadSnapshot(path, &restored));
@@ -154,7 +147,7 @@ TEST(DurableStoreTest, UnavailableStateSurvivesSnapshot) {
 }
 
 TEST(DurableStoreTest, TornLogTailLosesOnlyUnsyncedSuffix) {
-  const std::string dir = FreshDir("hermes_torn");
+  const std::string dir = test::FreshDir("hermes_torn");
   {
     auto db = DurableGraphStore::Open(0, dir);
     ASSERT_OK(db);
@@ -184,7 +177,7 @@ TEST(DurableStoreTest, TornLogTailLosesOnlyUnsyncedSuffix) {
 // Now a duplicate create is tolerated only when the entry's payload is
 // already reflected verbatim.
 TEST(DurableStoreTest, ReplayRejectsDuplicateCreateWithDivergentPayload) {
-  const std::string dir = FreshDir("hermes_replay_divergent");
+  const std::string dir = test::FreshDir("hermes_replay_divergent");
   {
     GraphStore store(0);
     ASSERT_OK(store.CreateNode(1, 1.0));
@@ -208,7 +201,7 @@ TEST(DurableStoreTest, ReplayRejectsDuplicateCreateWithDivergentPayload) {
 }
 
 TEST(DurableStoreTest, ReplayToleratesDuplicateCreateWithMatchingPayload) {
-  const std::string dir = FreshDir("hermes_replay_matching");
+  const std::string dir = test::FreshDir("hermes_replay_matching");
   {
     GraphStore store(0);
     ASSERT_OK(store.CreateNode(1, 1.0));
@@ -232,7 +225,7 @@ TEST(DurableStoreTest, ReplayToleratesDuplicateCreateWithMatchingPayload) {
 }
 
 TEST(DurableStoreTest, ReplayToleratesEdgeAlreadyInSnapshot) {
-  const std::string dir = FreshDir("hermes_replay_edge_dup");
+  const std::string dir = test::FreshDir("hermes_replay_edge_dup");
   {
     GraphStore store(0);
     ASSERT_OK(store.CreateNode(1));
@@ -260,7 +253,7 @@ TEST(DurableStoreTest, ReplayToleratesEdgeAlreadyInSnapshot) {
 }
 
 TEST(DurableStoreTest, ReplayRejectsEdgeWithMissingEndpoint) {
-  const std::string dir = FreshDir("hermes_replay_edge_bad");
+  const std::string dir = test::FreshDir("hermes_replay_edge_bad");
   {
     GraphStore store(0);
     ASSERT_OK(store.CreateNode(1));
@@ -285,7 +278,7 @@ TEST(DurableStoreTest, ReplayRejectsEdgeWithMissingEndpoint) {
 }
 
 TEST(DurableStoreTest, OpenOnEmptyDirectoryIsFreshStore) {
-  const std::string dir = FreshDir("hermes_fresh");
+  const std::string dir = test::FreshDir("hermes_fresh");
   auto db = DurableGraphStore::Open(3, dir);
   ASSERT_OK(db);
   EXPECT_EQ((*db)->store().NumNodes(), 0u);
@@ -293,7 +286,7 @@ TEST(DurableStoreTest, OpenOnEmptyDirectoryIsFreshStore) {
 }
 
 TEST(DurableStoreTest, RepeatedCheckpointsStayConsistent) {
-  const std::string dir = FreshDir("hermes_repeat");
+  const std::string dir = test::FreshDir("hermes_repeat");
   auto db = DurableGraphStore::Open(0, dir);
   ASSERT_OK(db);
   for (VertexId v = 0; v < 50; ++v) {
@@ -386,7 +379,7 @@ GraphStore StoreWithContentBytes(std::uint64_t content,
 }
 
 TEST(DurableStoreTest, SnapshotRoundTripsAcrossSliceBoundaries) {
-  const std::string dir = FreshDir("hermes_snapshot_slices");
+  const std::string dir = test::FreshDir("hermes_snapshot_slices");
   const std::string path = dir + "/snapshot.bin";
   // Content lengths around one slice, file sizes around one slice, and
   // a snapshot spanning several slices.
@@ -408,7 +401,7 @@ TEST(DurableStoreTest, SnapshotRoundTripsAcrossSliceBoundaries) {
 }
 
 TEST(DurableStoreTest, TruncatedSnapshotIsAnIOErrorAtEveryByte) {
-  const std::string dir = FreshDir("hermes_snapshot_truncated");
+  const std::string dir = test::FreshDir("hermes_snapshot_truncated");
   const std::string path = dir + "/snapshot.bin";
   const std::string cut_path = dir + "/cut.bin";
   ASSERT_OK(DurableGraphStore::WriteSnapshot(PropertyStore(2 * kSlice), path));
@@ -425,7 +418,7 @@ TEST(DurableStoreTest, TruncatedSnapshotIsAnIOErrorAtEveryByte) {
 TEST(DurableStoreTest, ZeroPaddedSnapshotStillLoads) {
   // Older snapshot files are zero-padded to a whole number of 8 KiB
   // pages; the content length, not the file size, bounds the load.
-  const std::string dir = FreshDir("hermes_snapshot_padded");
+  const std::string dir = test::FreshDir("hermes_snapshot_padded");
   const std::string path = dir + "/snapshot.bin";
   const GraphStore store = PropertyStore(100);
   ASSERT_OK(DurableGraphStore::WriteSnapshot(store, path, 7));
@@ -442,7 +435,7 @@ TEST(DurableStoreTest, ZeroPaddedSnapshotStillLoads) {
 }
 
 TEST(DurableStoreTest, MissingSnapshotIsNotFound) {
-  const std::string dir = FreshDir("hermes_snapshot_missing");
+  const std::string dir = test::FreshDir("hermes_snapshot_missing");
   GraphStore restored(0);
   EXPECT_TRUE(
       DurableGraphStore::LoadSnapshot(dir + "/snapshot.bin", &restored)

@@ -179,7 +179,7 @@ TEST(EdgeListIoTest, RoundTrip) {
   opt.num_vertices = 1000;
   opt.seed = 10;
   Graph g = GenerateSocialGraph(opt);
-  const std::string path = ::testing::TempDir() + "/hermes_edges.txt";
+  const std::string path = test::FreshPath("hermes_edges.txt");
   ASSERT_OK(SaveEdgeList(g, path));
   auto loaded = LoadEdgeList(path);
   ASSERT_OK(loaded);
@@ -193,7 +193,7 @@ TEST(EdgeListIoTest, MissingFileIsIOError) {
 }
 
 TEST(EdgeListIoTest, SkipsCommentsAndRenumbers) {
-  const std::string path = ::testing::TempDir() + "/hermes_sparse.txt";
+  const std::string path = test::FreshPath("hermes_sparse.txt");
   {
     FILE* f = fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);

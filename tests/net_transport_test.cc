@@ -11,7 +11,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -313,13 +312,6 @@ TEST(NetTransportFaultTest, DroppedRequestSurfacesRetryableTimeout) {
   ASSERT_OK(rig.Call(HealthRequest{}));
 }
 
-std::string FreshDir(const char* name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 /// Spin-waits (bounded) until `name` exceeds `prev` — used to quiesce on
 /// server-side effects of frames whose replies never reached the bus.
 void AwaitCounterAbove(const std::string& name, std::uint64_t prev) {
@@ -485,7 +477,7 @@ TEST(NetTransportRetryTest, DedupWindowFromOptionsSurvivesOverflowOfOldDefault) 
 // the client. The reopened server must answer the client's same-token
 // retry from recovered dedup state — synthesized reply, no double-apply.
 TEST(NetTransportRecoveryTest, RecoveredTokenAnsweredAfterCrashBetweenApplyAndReply) {
-  const std::string dir = FreshDir("net_recovered_token");
+  const std::string dir = test::FreshDir("net_recovered_token");
   PartitionServer::Options sopt;
   sopt.durability_dir = dir;
   const std::uint64_t bump_token = 2;  // ids mint from 1: create=1, bump=2

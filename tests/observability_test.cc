@@ -41,35 +41,43 @@ TEST(MetricsRegistryTest, GaugeSetAndAdd) {
 
 TEST(MetricsRegistryTest, HistogramSummaryQuantiles) {
   auto& registry = MetricsRegistry::Global();
-  for (int i = 1; i <= 100; ++i) {
-    registry.Observe("obs_test.hist", static_cast<double>(i));
-  }
+  Histogram* hist = registry.GetHistogram("obs_test.hist");
+  EXPECT_EQ(hist, registry.GetHistogram("obs_test.hist"));
+  hist->Reset();
+  for (std::uint64_t i = 1; i <= 100; ++i) hist->Record(i);
   const auto snap = registry.Snapshot();
   const auto& h = snap.histograms.at("obs_test.hist");
   EXPECT_EQ(h.count, 100u);
+  EXPECT_DOUBLE_EQ(h.sum, 5050.0);
   EXPECT_DOUBLE_EQ(h.min, 1.0);
   EXPECT_DOUBLE_EQ(h.max, 100.0);
   EXPECT_NEAR(h.mean, 50.5, 1e-9);
-  // Quarter-decade buckets: p50 lands on the upper edge of the bucket
-  // holding the 50th sample (~56.2 for uniform 1..100).
-  EXPECT_GE(h.p50, 30.0);
-  EXPECT_LE(h.p50, 60.0);
-  EXPECT_GE(h.p99, 90.0);
-  EXPECT_LE(h.p99, 100.0);
+  // Log-linear buckets: every quantile is within 3.2% of the exact one.
+  EXPECT_NEAR(h.p50, 50.5, 0.032 * 50.5);
+  EXPECT_NEAR(h.p90, 90.0, 0.032 * 90.0);
+  EXPECT_NEAR(h.p99, 99.0, 0.032 * 99.0);
+  EXPECT_LE(h.p999, 100.0);
 }
 
 TEST(MetricsRegistryTest, ResetAllKeepsRegisteredPointersValid) {
   auto& registry = MetricsRegistry::Global();
   Counter* c = registry.GetCounter("obs_test.reset_counter");
   Gauge* g = registry.GetGauge("obs_test.reset_gauge");
+  Histogram* h = registry.GetHistogram("obs_test.reset_hist");
   c->Increment(7);
   g->Set(3.0);
+  h->Record(11);
   registry.ResetAll();
   EXPECT_EQ(c->Value(), 0u);
   EXPECT_DOUBLE_EQ(g->Value(), 0.0);
+  EXPECT_EQ(h->Summary().count, 0u);
   // The names stay registered; the cached pointers keep working.
   c->Increment();
-  EXPECT_EQ(registry.Snapshot().counters.at("obs_test.reset_counter"), 1u);
+  h->Record(4);
+  const auto snap = registry.Snapshot();
+  EXPECT_EQ(snap.counters.at("obs_test.reset_counter"), 1u);
+  EXPECT_EQ(snap.histograms.at("obs_test.reset_hist").count, 1u);
+  EXPECT_DOUBLE_EQ(snap.histograms.at("obs_test.reset_hist").max, 4.0);
 }
 
 TEST(MetricsRegistryTest, ConcurrentIncrementsDoNotLoseCounts) {
@@ -95,7 +103,8 @@ TEST(TraceLogTest, RecordsSpansOldestFirst) {
   auto& log = TraceLog::Global();
   log.Clear();
   {
-    TraceSpan span("obs_test.span");
+    TraceSpan span("obs_test.span",
+                   MetricsRegistry::Global().GetHistogram("obs_test.span"));
   }
   const auto events = log.Events();
   ASSERT_EQ(events.size(), 1u);

@@ -12,7 +12,6 @@
 //     while the directory still routed to the source — Validate()
 //     stayed false forever.
 
-#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -26,13 +25,6 @@
 
 namespace hermes {
 namespace {
-
-std::string FreshDir(const char* name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
 
 Graph SmallSocial(std::uint64_t seed = 5) {
   SocialGraphOptions opt;
@@ -53,7 +45,7 @@ TEST_F(StatusDisciplineTest, ReadWeightBumpWalFailureSurfacesAndRollsBack) {
   Graph g = SmallSocial();
   const auto asg = HashPartitioner(1).Partition(g, 4);
   HermesCluster::Options opt;
-  opt.durability_dir = FreshDir("status_discipline_read_bump");
+  opt.durability_dir = test::FreshDir("status_discipline_read_bump");
   HermesCluster cluster(std::move(g), asg, opt);
   const double before = cluster.graph().VertexWeight(0);
 
@@ -86,7 +78,7 @@ TEST_F(StatusDisciplineTest, MidChunkMigrationWalFailureUnwindsCleanly) {
     if (initial.PartitionOf(v) == 0) g.AddVertexWeight(v, 2.0);
   }
   HermesCluster::Options opt;
-  opt.durability_dir = FreshDir("status_discipline_migration");
+  opt.durability_dir = test::FreshDir("status_discipline_migration");
   opt.repartitioner.k_fraction = 0.05;
   HermesCluster cluster(std::move(g), initial, opt);
 

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -16,12 +15,6 @@
 namespace hermes {
 namespace {
 
-std::string TempLog(const char* name) {
-  std::string path = ::testing::TempDir() + "/" + name;
-  std::remove(path.c_str());
-  return path;
-}
-
 WalEntry MakeEdgeEntry(VertexId a, VertexId b) {
   WalEntry e;
   e.type = WalOpType::kAddEdge;
@@ -33,7 +26,7 @@ WalEntry MakeEdgeEntry(VertexId a, VertexId b) {
 }
 
 TEST(WalTest, AppendAssignsIncreasingLsns) {
-  const std::string path = TempLog("wal_lsn.log");
+  const std::string path = test::FreshPath("wal_lsn.log");
   auto wal = WriteAheadLog::Open(path);
   ASSERT_OK(wal);
   auto l1 = wal->Append(MakeEdgeEntry(1, 2));
@@ -44,7 +37,7 @@ TEST(WalTest, AppendAssignsIncreasingLsns) {
 }
 
 TEST(WalTest, RoundTripAllFields) {
-  const std::string path = TempLog("wal_roundtrip.log");
+  const std::string path = test::FreshPath("wal_roundtrip.log");
   {
     auto wal = WriteAheadLog::Open(path);
     ASSERT_OK(wal);
@@ -73,7 +66,7 @@ TEST(WalTest, RoundTripAllFields) {
 }
 
 TEST(WalTest, ManyEntriesSurviveReopen) {
-  const std::string path = TempLog("wal_reopen.log");
+  const std::string path = test::FreshPath("wal_reopen.log");
   {
     auto wal = WriteAheadLog::Open(path);
     ASSERT_OK(wal);
@@ -92,7 +85,7 @@ TEST(WalTest, ManyEntriesSurviveReopen) {
 }
 
 TEST(WalTest, TornTailIsDiscarded) {
-  const std::string path = TempLog("wal_torn.log");
+  const std::string path = test::FreshPath("wal_torn.log");
   {
     auto wal = WriteAheadLog::Open(path);
     ASSERT_OK(wal);
@@ -118,7 +111,7 @@ TEST(WalTest, TornTailIsDiscarded) {
 }
 
 TEST(WalTest, CorruptTailIsDiscarded) {
-  const std::string path = TempLog("wal_corrupt.log");
+  const std::string path = test::FreshPath("wal_corrupt.log");
   {
     auto wal = WriteAheadLog::Open(path);
     ASSERT_OK(wal);
@@ -139,7 +132,7 @@ TEST(WalTest, CorruptTailIsDiscarded) {
 }
 
 TEST(WalTest, CheckpointFiltersEarlierEntries) {
-  const std::string path = TempLog("wal_checkpoint.log");
+  const std::string path = test::FreshPath("wal_checkpoint.log");
   auto wal = WriteAheadLog::Open(path);
   ASSERT_OK(wal);
   ASSERT_OK(wal->Append(MakeEdgeEntry(1, 2)));
@@ -159,7 +152,7 @@ TEST(WalTest, CheckpointFiltersEarlierEntries) {
 }
 
 TEST(WalTest, ResetTruncates) {
-  const std::string path = TempLog("wal_reset.log");
+  const std::string path = test::FreshPath("wal_reset.log");
   auto wal = WriteAheadLog::Open(path);
   ASSERT_OK(wal);
   ASSERT_OK(wal->Append(MakeEdgeEntry(1, 2)));
@@ -206,7 +199,7 @@ std::vector<std::size_t> FrameBoundaries(const std::string& data) {
 // must recover exactly the longest valid-record prefix — every record
 // whose frame fits entirely inside the truncated file, and nothing else.
 TEST(WalTest, TruncationSweepRecoversLongestValidPrefix) {
-  const std::string path = TempLog("wal_sweep.log");
+  const std::string path = test::FreshPath("wal_sweep.log");
   constexpr std::size_t kRecords = 5;
   {
     auto wal = WriteAheadLog::Open(path);
@@ -222,7 +215,7 @@ TEST(WalTest, TruncationSweepRecoversLongestValidPrefix) {
   const std::vector<std::size_t> ends = FrameBoundaries(full);
   ASSERT_EQ(ends.size(), kRecords);
 
-  const std::string cut_path = TempLog("wal_sweep_cut.log");
+  const std::string cut_path = test::FreshPath("wal_sweep_cut.log");
   for (std::size_t len = 0; len <= full.size(); ++len) {
     WriteFileBytes(cut_path, full.substr(0, len));
     const std::size_t want =
@@ -243,7 +236,7 @@ TEST(WalTest, TruncationSweepRecoversLongestValidPrefix) {
 // good record before it — never skip the bad record and resume, which
 // would replay a sequence the store never produced.
 TEST(WalTest, FlippedCrcMidLogStopsReplayAtLastGoodRecord) {
-  const std::string path = TempLog("wal_midcrc.log");
+  const std::string path = test::FreshPath("wal_midcrc.log");
   {
     auto wal = WriteAheadLog::Open(path);
     ASSERT_OK(wal);
@@ -271,7 +264,7 @@ TEST(WalTest, FlippedCrcMidLogStopsReplayAtLastGoodRecord) {
 // new (even synced) records land beyond bytes replay refuses to cross
 // and are silently lost on the next recovery.
 TEST(WalTest, OpenTruncatesTornTailSoLaterAppendsSurvive) {
-  const std::string path = TempLog("wal_open_trunc.log");
+  const std::string path = test::FreshPath("wal_open_trunc.log");
   {
     auto wal = WriteAheadLog::Open(path);
     ASSERT_OK(wal);
@@ -308,7 +301,7 @@ TEST(WalTest, Crc32KnownVector) {
 // --- durability / group commit -------------------------------------------
 
 TEST(WalTest, SyncBatchesStagedAppendsIntoOneFsync) {
-  const std::string path = TempLog("wal_group.log");
+  const std::string path = test::FreshPath("wal_group.log");
   auto wal = WriteAheadLog::Open(path);
   ASSERT_OK(wal);
   for (VertexId i = 0; i < 10; ++i) {
@@ -325,7 +318,7 @@ TEST(WalTest, SyncBatchesStagedAppendsIntoOneFsync) {
 }
 
 TEST(WalTest, DurableAppendAdvancesDurableLsn) {
-  const std::string path = TempLog("wal_durable_append.log");
+  const std::string path = test::FreshPath("wal_durable_append.log");
   auto wal = WriteAheadLog::Open(path);
   ASSERT_OK(wal);
   auto lsn = wal->Append(MakeEdgeEntry(1, 2), /*durable=*/true);
@@ -335,7 +328,7 @@ TEST(WalTest, DurableAppendAdvancesDurableLsn) {
 }
 
 TEST(WalTest, PerAppendFsyncModeSyncsEveryDurableAppend) {
-  const std::string path = TempLog("wal_perappend.log");
+  const std::string path = test::FreshPath("wal_perappend.log");
   WalGroupCommitOptions options;
   options.enabled = false;  // the pre-group-commit baseline
   auto wal = WriteAheadLog::Open(path, 1, options);
@@ -351,7 +344,7 @@ TEST(WalTest, PerAppendFsyncModeSyncsEveryDurableAppend) {
 // to advance next_lsn_ anyway, so the LSN sequence had a hole and the
 // log kept accepting appends beyond a tail of unknown state.
 TEST(WalTest, FailedAppendRollsBackLsnAndPoisonsTheLog) {
-  const std::string path = TempLog("wal_append_rollback.log");
+  const std::string path = test::FreshPath("wal_append_rollback.log");
   {
     auto wal = WriteAheadLog::Open(path);
     ASSERT_OK(wal);
@@ -392,7 +385,7 @@ TEST(WalTest, FailedAppendRollsBackLsnAndPoisonsTheLog) {
 // Reset() that failed at the truncate step left the file still holding
 // the old records while the in-memory log believed it was empty.
 TEST(WalTest, FailedResetPoisonsAndNamesTheReset) {
-  const std::string path = TempLog("wal_reset_fail.log");
+  const std::string path = test::FreshPath("wal_reset_fail.log");
   auto wal = WriteAheadLog::Open(path);
   ASSERT_OK(wal);
   ASSERT_OK(wal->Append(MakeEdgeEntry(1, 2), /*durable=*/true));
@@ -418,7 +411,7 @@ TEST(WalTest, FailedResetPoisonsAndNamesTheReset) {
 // Modeled here: entries synced before a power loss survive it; entries
 // merely appended (sitting in OS buffers) do not.
 TEST(WalTest, OsBufferDropLosesExactlyTheUnsyncedSuffix) {
-  const std::string path = TempLog("wal_os_drop.log");
+  const std::string path = test::FreshPath("wal_os_drop.log");
   {
     auto wal = WriteAheadLog::Open(path);
     ASSERT_OK(wal);
@@ -448,7 +441,7 @@ TEST(WalTest, OsBufferDropLosesExactlyTheUnsyncedSuffix) {
 // the log: the bytes are in the file, and a later window's fsync covers
 // them.
 TEST(WalTest, TransientFsyncFailureIsRetryable) {
-  const std::string path = TempLog("wal_transient.log");
+  const std::string path = test::FreshPath("wal_transient.log");
   auto wal = WriteAheadLog::Open(path);
   ASSERT_OK(wal);
   ASSERT_OK(wal->Append(MakeEdgeEntry(1, 2)));
